@@ -4,7 +4,8 @@ Times three ways of answering "what is the slack now?" on the routed
 no-MLS MAERI fabrics and writes ``BENCH_sta.json`` at the repo root:
 
 * ``seed``        — the pre-CSR behavior: rebuild the timing graph and
-                    run the reference Python propagation loop;
+                    run the reference Python propagation loop
+                    (``tests/sta_oracle.py``);
 * ``serial``      — the reference loop on a prebuilt graph (isolates
                     the propagation kernel);
 * ``csr``         — the levelized ``np.maximum.at``/``np.minimum.at``
@@ -32,6 +33,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core.flow import FlowConfig, prepare_design          # noqa: E402
 from repro.harness.designs import get_benchmark                 # noqa: E402
@@ -39,6 +41,7 @@ from repro.mls import route_with_mls                            # noqa: E402
 from repro.mls.oracle import candidate_nets                     # noqa: E402
 from repro.timing import (IncrementalSta, build_timing_graph,   # noqa: E402
                           run_sta)
+from tests.sta_oracle import run_sta_serial                     # noqa: E402
 
 BENCH_JSON = REPO_ROOT / "BENCH_sta.json"
 TREND_JSONL = REPO_ROOT / "benchmarks" / "results" / "trend.jsonl"
@@ -75,12 +78,10 @@ def bench_design(key: str, repeats: int) -> dict:
     graph = build_timing_graph(design)
     csr = graph.csr()           # build the CSR view outside the timers
 
-    t_seed, ref = _best_of(lambda: run_sta(design, kernel="serial"),
-                           repeats)
+    t_seed, ref = _best_of(lambda: run_sta_serial(design), repeats)
     t_serial, serial = _best_of(
-        lambda: run_sta(design, graph=graph, kernel="serial"), repeats)
-    t_csr, vec = _best_of(
-        lambda: run_sta(design, graph=graph, kernel="csr"), repeats)
+        lambda: run_sta_serial(design, graph=graph), repeats)
+    t_csr, vec = _best_of(lambda: run_sta(design, graph=graph), repeats)
     csr_ok = _reports_identical(vec, ref) and _reports_identical(serial,
                                                                  ref)
 

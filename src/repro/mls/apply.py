@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.design import Design
-from repro.parallel import ParallelConfig
 from repro.route.router import GlobalRouter, RouteConfig, RoutingResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
@@ -13,8 +12,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
 
 
 def route_with_mls(design: Design, mls_nets: set[str],
-                   config: RouteConfig | None = None,
-                   parallel: ParallelConfig | None = None
+                   config: RouteConfig | None = None
                    ) -> tuple[GlobalRouter, RoutingResult]:
     """Route the whole design from scratch with *mls_nets* shared.
 
@@ -23,13 +21,9 @@ def route_with_mls(design: Design, mls_nets: set[str],
     relief they grant everyone else on the home tier (and the shared-
     resource pressure they put on the other tier — how SOTA's
     over-application backfires).
-
-    A multi-worker *parallel* config routes in wavefront order; the
-    result is bit-identical to the serial schedule (see
-    :meth:`GlobalRouter.route_all`).
     """
     router = GlobalRouter(design, config)
-    result = router.route_all(mls_nets=mls_nets, parallel=parallel)
+    result = router.route_all(mls_nets=mls_nets)
     return router, result
 
 

@@ -1,7 +1,7 @@
 """Zero-dependency observability: spans, counters, structured logs.
 
-The flow is performance-engineered end to end (process pool, wavefront
-router, incremental STA, cached-Laplacian placer) but was a black box
+The flow is performance-engineered end to end (process pool,
+incremental STA, cached-Laplacian placer) but was a black box
 at runtime — two ad-hoc ``perf_counter`` windows in ``run_flow`` and
 nothing else.  This package is the measurement substrate:
 

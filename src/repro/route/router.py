@@ -18,18 +18,16 @@ Routing policy per net (long nets first, as commercial routers prioritize):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.design import Design
 from repro.errors import RoutingError
 from repro.netlist.net import Net
 from repro.obs import metrics, trace
-from repro.parallel import ParallelConfig, SnapshotPool
-from repro.route.grid import CongestionGrid, UsageDelta
+from repro.route.grid import CongestionGrid
 from repro.route.rc import NetRC, extract_rc
-from repro.route.steiner import (build_route_points, footprint_gcells,
-                                 l_path_gcells, mst_parents)
+from repro.route.steiner import (build_route_points, l_path_gcells,
+                                 mst_parents)
 from repro.route.tree import RouteEdge, RouteTree
 
 import numpy as np
@@ -55,25 +53,6 @@ class RouteConfig:
     #: reaching its F2F pad — the fixed cost that makes MLS a net
     #: *loss* for short nets (Table I's degraded net).
     mls_escape_um: float = 2.5
-    #: Target milliseconds of estimated routing work per pool dispatch
-    #: in wavefront mode.  Consecutive waves batch into one dispatch
-    #: until they carry this much work (measured per-net cost, EWMA);
-    #: nets in waves beyond the first route *speculatively* against
-    #: the batch-boundary grid, and only footprint-conflicted nets
-    #: replay serially (see ``_route_batch`` — results stay
-    #: bit-identical to the serial schedule).  ``0`` disables
-    #: batching: every wave is its own dispatch, as before.  Purely a
-    #: scheduling knob — it never changes routing results.
-    #: 16 ms balances dispatch amortization against replay waste: the
-    #: bigger the batch, the more of it later waves invalidate.
-    batch_ms: float = 16.0
-
-
-#: Starting per-net routing cost estimate (seconds) before any
-#: measurement; ~what a MAERI-class net costs on one core.
-INIT_NET_COST_S = 1e-4
-#: EWMA smoothing for the measured per-net cost.
-COST_EWMA = 0.3
 
 
 class RoutingResult:
@@ -123,38 +102,6 @@ class RoutingResult:
         return out
 
 
-def _route_wave_chunk(state, grid_state,
-                      names: list[str]) -> list[tuple[str, list]]:
-    """Worker: route one chunk of a wave against the wave-boundary grid.
-
-    ``grid_state`` is the caller's grid at the wave boundary; loading
-    it first makes the worker's view exact regardless of which waves
-    this process served before.  Each net then routes with
-    ``commit=True`` so later edges of the *same* net see earlier
-    edges' usage exactly as the serial router does, and releases its
-    usage afterwards — every net of the wave thus observes the
-    pristine wave-boundary grid (their footprints are disjoint, making
-    that view identical to the serial schedule's).  Usage values are
-    integer-valued, so the add/release round-trip restores the float32
-    arrays bit-exactly; the in-process serial fallback of
-    :class:`~repro.parallel.pool.SnapshotPool`, which runs against the
-    caller's live router, relies on this restore.
-
-    Only edges travel back: they are flat dataclasses, while nodes
-    reference :class:`~repro.netlist.net.Pin` objects whose graph must
-    not be re-pickled per result (the caller rebuilds nodes).
-    """
-    router, mls_names = state
-    router.grid.load_state(grid_state)
-    out = []
-    for name in names:
-        net = router.design.netlist.net(name)
-        tree = router._route_net(net, mls=name in mls_names, commit=True)
-        router._apply_tree_usage(tree, -1.0)
-        out.append((name, tree.edges))
-    return out
-
-
 def desired_pair(length_um: float, n_pairs: int,
                  thresholds: tuple[float, ...]) -> int:
     """Length-based preferred layer pair (0 = lowest metals)."""
@@ -180,32 +127,22 @@ class GlobalRouter:
 
     # -- public API -----------------------------------------------------------
 
-    def route_all(self, mls_nets: set[str] | frozenset = frozenset(),
-                  parallel: ParallelConfig | None = None) -> RoutingResult:
-        """Route every signal net; attach the result to the design.
-
-        With a multi-worker *parallel* config the nets are routed in
-        wavefront order (see :meth:`_route_all_wavefront`); the trees,
-        parasitics, congestion arrays and :meth:`RoutingResult.stats`
-        are bit-identical to the serial long-nets-first schedule at any
-        worker count.
-        """
+    def route_all(self, mls_nets: set[str] | frozenset = frozenset()
+                  ) -> RoutingResult:
+        """Route every signal net, long nets first; attach the result to
+        the design."""
         result = RoutingResult(self.grid, self.cfg)
         nets = self.design.netlist.signal_nets()
         # Long nets first: they claim upper layers before congestion.
         ordered = sorted(nets, key=lambda n: (-self._est_len(n), n.name))
-        wavefront = parallel is not None \
-            and parallel.should_parallelize(
-                len(ordered), est_item_cost_s=INIT_NET_COST_S)
+        stacks, f2f = self.design.tech.stacks, self.design.tech.f2f
         with trace.span("route.all", nets=len(ordered),
-                        mls_nets=len(mls_nets), wavefront=wavefront):
-            if wavefront:
-                self._route_all_wavefront(result, ordered,
-                                          frozenset(mls_nets), parallel)
-            else:
-                for net in ordered:
-                    self._commit_net(result, net,
-                                     mls=net.name in mls_nets)
+                        mls_nets=len(mls_nets)):
+            for net in ordered:
+                tree = self._route_net(net, mls=net.name in mls_nets,
+                                       commit=True)
+                result.trees[net.name] = tree
+                result.rc[net.name] = extract_rc(tree, stacks, f2f)
         metrics.inc("route.full_routes")
         metrics.inc("route.nets_routed", len(ordered))
         metrics.inc("route.overflow_nets", result.overflow_nets())
@@ -216,214 +153,6 @@ class GlobalRouter:
     def _est_len(self, net: Net) -> float:
         x0, y0, x1, y1 = self.placement.net_bbox(net)
         return (x1 - x0) + (y1 - y0)
-
-    def _commit_net(self, result: RoutingResult, net: Net,
-                    mls: bool) -> None:
-        """Serial inner loop: route one net and record tree + RC."""
-        tree = self._route_net(net, mls=mls, commit=True)
-        result.trees[net.name] = tree
-        result.rc[net.name] = extract_rc(
-            tree, self.design.tech.stacks, self.design.tech.f2f)
-
-    # -- wavefront scheduling ------------------------------------------------
-
-    def _route_all_wavefront(self, result: RoutingResult,
-                             ordered: list[Net], mls_nets: frozenset,
-                             parallel: ParallelConfig) -> None:
-        """Route *ordered* as a sequence of disjoint-footprint waves.
-
-        A wave is a maximal run of **consecutive** nets (in the serial
-        long-nets-first order) whose gcell footprints are pairwise
-        disjoint.  Within such a run, net *m*'s congestion queries only
-        touch its own footprint, which no earlier net of the run
-        writes — so routing every net of the wave against the grid
-        state at the wave boundary reproduces the serial result
-        exactly.  Waves route concurrently via
-        :func:`repro.parallel.snapshot_map` against a read-only
-        snapshot; usage and RC merge back in canonical (serial) net
-        order, keeping dict ordering, float bit patterns and
-        :meth:`RoutingResult.stats` identical to the serial router.
-
-        MLS-requested nets contend for the other tier's top pair and
-        its F2F pads — the shared resource every other MLS net also
-        wants — so they are never packed with other nets: each one
-        flushes the current batch and routes serially at the boundary.
-
-        One wave per dispatch ships only microseconds of work, so
-        consecutive waves accumulate into a **speculative batch** (see
-        :meth:`_route_batch`) until the batch carries
-        ``cfg.batch_ms`` of estimated routing work; the per-net cost
-        estimate is an EWMA of measured batch/serial segment times, so
-        batch sizing adapts to the design.  A batch whose estimated
-        work cannot amortize a pool round-trip (the
-        ``should_parallelize`` dispatch-overhead gate) routes serially
-        instead — tiny fabrics never take a slower parallel path.
-
-        One :class:`~repro.parallel.pool.SnapshotPool` serves the whole
-        route: the heavy (router, mls set) snapshot ships to workers
-        once, and each batch forwards only the current congestion-grid
-        arrays, which workers load before routing their chunk.
-        """
-        footprints = {
-            net.name: self._net_footprint(net) for net in ordered}
-        est = INIT_NET_COST_S
-        target_s = max(self.cfg.batch_ms, 0.0) * 1e-3
-
-        with SnapshotPool((self, mls_nets), parallel) as pool:
-            batch: list[list[Net]] = []
-            batch_nets = 0
-
-            def flush() -> None:
-                nonlocal batch, batch_nets, est
-                if not batch:
-                    return
-                n = batch_nets
-                t0 = time.perf_counter()
-                if parallel.should_parallelize(n, est_item_cost_s=est):
-                    metrics.inc("route.wave_nets_parallel", n)
-                    with trace.span("route.batch", waves=len(batch),
-                                    nets=n):
-                        self._route_batch(result, batch, pool,
-                                          footprints, mls_nets)
-                else:
-                    metrics.inc("route.wave_nets_serial", n)
-                    with trace.span("route.batch", waves=len(batch),
-                                    nets=n, serial=True):
-                        for wave in batch:
-                            for net in wave:
-                                self._commit_net(
-                                    result, net,
-                                    mls=net.name in mls_nets)
-                est = (1.0 - COST_EWMA) * est \
-                    + COST_EWMA * (time.perf_counter() - t0) / n
-                batch = []
-                batch_nets = 0
-
-            index = 0
-            while index < len(ordered):
-                wave = self._pack_wave(ordered, index, mls_nets,
-                                       footprints)
-                index += len(wave)
-                metrics.inc("route.waves")
-                metrics.observe("route.wave_size", len(wave))
-                if wave[0].name in mls_nets:
-                    # MLS singleton: flush so it sees every earlier
-                    # net's usage, then route at the live boundary.
-                    flush()
-                    metrics.inc("route.wave_nets_serial")
-                    with trace.span("route.wave", size=1, serial=True):
-                        self._commit_net(result, wave[0], mls=True)
-                    continue
-                batch.append(wave)
-                batch_nets += len(wave)
-                if batch_nets * est >= target_s:
-                    flush()
-            flush()
-
-    def _net_footprint(self, net: Net) -> frozenset:
-        """Gcells this net's routing may read or write (pre-routing)."""
-        points = build_route_points(net, self.placement)
-        xs = np.array([p[0] for p in points])
-        ys = np.array([p[1] for p in points])
-        parents = mst_parents(xs, ys)
-        return footprint_gcells(xs, ys, parents, self.grid.gcell,
-                                self.grid.nx, self.grid.ny)
-
-    @staticmethod
-    def _pack_wave(ordered: list[Net], start: int, mls_nets: frozenset,
-                   footprints: dict[str, frozenset]) -> list[Net]:
-        """Greedy maximal disjoint run of *ordered* beginning at *start*.
-
-        MLS candidates are unpackable: one at *start* forms a singleton
-        wave, one later stops the packing (serial fallback at the wave
-        boundary).
-        """
-        first = ordered[start]
-        wave = [first]
-        if first.name in mls_nets:
-            return wave
-        occupied = set(footprints[first.name])
-        for net in ordered[start + 1:]:
-            footprint = footprints[net.name]
-            if net.name in mls_nets or not occupied.isdisjoint(footprint):
-                break
-            wave.append(net)
-            occupied.update(footprint)
-        return wave
-
-    def _route_batch(self, result: RoutingResult, waves: list[list[Net]],
-                     pool: SnapshotPool, footprints: dict[str, frozenset],
-                     mls_nets: frozenset) -> None:
-        """Fan a batch of consecutive waves out in ONE pool dispatch.
-
-        Workers route every net of the batch against the
-        batch-boundary grid (releasing each net's usage after routing,
-        as in single-wave mode), so nets in waves beyond the first are
-        *speculative*: they did not see the usage earlier batch waves
-        will commit before them in the serial schedule.  The merge
-        walks waves in serial order and validates each speculative
-        net: its (conservative, superset-of-reads-and-writes) gcell
-        footprint must be disjoint from every cell the earlier waves
-        of this batch touched — then the batch-boundary grid and the
-        serial-schedule grid agree on everything the net read, and the
-        speculative tree is exactly the serial tree.  Conflicted nets
-        replay serially against the live grid; replay mid-wave is
-        exact because same-wave footprints are pairwise disjoint, so a
-        replayed net's reads are untouched by same-wave usage whether
-        or not it is committed yet.  Each wave's accepted usage is
-        committed (one :class:`UsageDelta`) before the next wave is
-        validated, and trees/RC insert in serial net order — dict
-        ordering, float bit patterns and stats all match the serial
-        router.
-        """
-        names = [net.name for wave in waves for net in wave]
-        metrics.inc("route.dispatches")
-        metrics.inc("route.batches")
-        metrics.observe("route.batch_waves", len(waves))
-        rows = pool.map(_route_wave_chunk, names,
-                        extra=self.grid.export_state())
-        stacks, f2f = self.design.tech.stacks, self.design.tech.f2f
-        written: set = set()
-        row = 0
-        for wave in waves:
-            delta = UsageDelta()
-            for net in wave:
-                name, edges = rows[row]
-                row += 1
-                if written.isdisjoint(footprints[name]):
-                    tree = self._rebuild_tree(name, edges)
-                    self._apply_tree_usage(tree, +1.0, sink=delta)
-                    metrics.inc("route.speculative_nets")
-                else:
-                    metrics.inc("route.replayed_nets")
-                    tree = self._route_net(net, mls=name in mls_nets,
-                                           commit=True)
-                # Key with the tree's own name string: dict key and
-                # ``NetRC.net_name`` must stay the *same object*, as
-                # in the serial path, so snapshot pickles (which memo
-                # shared strings) stay byte-identical.
-                result.trees[tree.net_name] = tree
-                result.rc[tree.net_name] = extract_rc(tree, stacks, f2f)
-            self.grid.apply_delta(delta)
-            for net in wave:
-                written.update(footprints[net.name])
-
-    def _rebuild_tree(self, net_name: str,
-                      edges: list[RouteEdge]) -> RouteTree:
-        """Reattach worker-routed edges to locally-built nodes.
-
-        Workers ship edges only — nodes hold :class:`Pin` references
-        whose object graph must stay the caller's.  Node construction
-        is deterministic in the placement, so worker and caller agree
-        on node indices.
-        """
-        net = self.design.netlist.net(net_name)
-        tree = RouteTree(net_name)
-        for x, y, tier, pin in build_route_points(net, self.placement):
-            tree.add_node(x, y, tier, pin)
-        for edge in edges:
-            tree.add_edge(edge)
-        return tree
 
     def reroute_net(self, result: RoutingResult, net: Net,
                     mls: bool) -> NetRC:
@@ -491,28 +220,19 @@ class GlobalRouter:
                 extract_rc(tree_on, stacks, f2f),
                 tree_on.num_shared_edges() > 0)
 
-    def _apply_tree_usage(self, tree: RouteTree, sign: float,
-                          sink: CongestionGrid | UsageDelta | None = None
-                          ) -> None:
-        """Add (+1) or release (-1) a tree's grid resources.
-
-        *sink* defaults to the live grid; the wavefront merge passes a
-        :class:`UsageDelta` instead to batch a whole wave's usage into
-        one commit.
-        """
-        if sink is None:
-            sink = self.grid
+    def _apply_tree_usage(self, tree: RouteTree, sign: float) -> None:
+        """Add (+1) or release (-1) a tree's grid resources."""
         for edge in tree.edges:
             pnode = tree.nodes[edge.parent]
             cnode = tree.nodes[edge.child]
             cells = l_path_gcells(pnode.x, pnode.y, cnode.x, cnode.y,
                                   self.grid.gcell, self.grid.nx, self.grid.ny)
-            sink.add_path(edge.tier, edge.pair, cells, sign)
+            self.grid.add_path(edge.tier, edge.pair, cells, sign)
             if edge.shared:
-                sink.add_f2f(*cells[0], sign)
-                sink.add_f2f(*cells[-1], sign)
+                self.grid.add_f2f(*cells[0], sign)
+                self.grid.add_f2f(*cells[-1], sign)
             elif edge.n_f2f:
-                sink.add_f2f(*cells[0], sign * float(edge.n_f2f))
+                self.grid.add_f2f(*cells[0], sign * float(edge.n_f2f))
 
     # -- internals ----------------------------------------------------------------
 

@@ -59,27 +59,6 @@ def mst_parents(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     return parent
 
 
-def footprint_gcells(xs: np.ndarray, ys: np.ndarray, parents: list[int],
-                     gcell: float, nx: int, ny: int
-                     ) -> frozenset[tuple[int, int]]:
-    """Every gcell a net's routing can read or write.
-
-    The union of the L-path cells over the net's MST edges.  Because
-    the MST and the L-realization depend only on pin locations — never
-    on congestion — this is computable *before* routing, and it bounds
-    all ``path_load``/``f2f_load`` queries and all usage updates the
-    router performs for the net (F2F pads sit on path endpoints, which
-    are path cells).  Two nets with disjoint footprints therefore
-    route independently: neither can observe the other's grid usage.
-    """
-    cells: set[tuple[int, int]] = set()
-    for child in range(1, len(parents)):
-        parent = parents[child]
-        cells.update(l_path_gcells(xs[parent], ys[parent],
-                                   xs[child], ys[child], gcell, nx, ny))
-    return frozenset(cells)
-
-
 def l_path_gcells(x0: float, y0: float, x1: float, y1: float,
                   gcell: float, nx: int, ny: int) -> list[tuple[int, int]]:
     """Gcells crossed by an L-route (horizontal-then-vertical).

@@ -15,7 +15,8 @@ per line in both directions; ops:
 ``flow``      run (or replay) one benchmark flow; responds with the
               table row, the report digest, timing breakdown and —
               on request — the on-disk paths of the pickled
-              :class:`FlowReport` artifacts;
+              :class:`FlowReport` artifacts.  A field the daemon does
+              not read is an error, not silently ignored;
 ``shutdown``  drain nothing, stop now (the store is crash-safe:
               every artifact write is atomic).
 
@@ -79,8 +80,11 @@ PROTOCOL_VERSION = 2
 #: event loop); content-level equivalence across differently-phrased
 #: requests is still caught by the store's content keys.
 _FLOW_REQUEST_FIELDS = ("benchmark", "selector", "seed", "with_scan",
-                        "dft_strategy", "freq_mhz",
-                        "place_region_parallel", "workers")
+                        "dft_strategy", "freq_mhz", "workers")
+
+#: Every field a ``flow`` request may carry; any other is rejected.
+_FLOW_ACCEPTED_FIELDS = frozenset(_FLOW_REQUEST_FIELDS
+                                  + ("op", "save_report"))
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,13 @@ class ServiceConfig:
 
 class ServiceError(FlowError):
     """Daemon-level failure (bad request, socket in use...)."""
+
+
+def _check_flow_fields(request: dict) -> None:
+    unknown = sorted(set(request) - _FLOW_ACCEPTED_FIELDS)
+    if unknown:
+        raise ServiceError(
+            f"unknown flow request field(s): {', '.join(unknown)}")
 
 
 def _flow_dedup_key(request: dict) -> tuple:
@@ -125,8 +136,6 @@ def build_flow_config(request: dict):
         dft_strategy=request.get("dft_strategy"),
         activity=spec.activity,
         parallel=ParallelConfig(workers=int(request.get("workers") or 1)),
-        place_region_parallel=bool(request.get("place_region_parallel",
-                                               False)),
     )
     return spec, config, spec.seeds(seed)
 
@@ -225,7 +234,10 @@ class FlowService:
         finally:
             writer.close()
 
-    async def _dispatch(self, request: dict) -> dict:
+    async def _dispatch(self, request) -> dict:
+        if not isinstance(request, dict):
+            raise ServiceError(f"request must be a JSON object, got "
+                               f"{type(request).__name__}")
         op = request.get("op")
         metrics.inc("service.requests")
         metrics.inc(f"service.requests.{op}")
@@ -296,6 +308,7 @@ class FlowService:
     # -- the flow op ---------------------------------------------------------
 
     async def _op_flow(self, request: dict) -> dict:
+        _check_flow_fields(request)
         key = _flow_dedup_key(request)
         t0 = time.perf_counter()
         future = self._inflight.get(key)

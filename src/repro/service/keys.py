@@ -12,13 +12,11 @@ constant pool, names and nested code objects), a SHA-256 over the
 pickled :class:`~repro.design.TechSetup`, the experiment seed, and the
 flow-config fields that can change results.  ``ParallelConfig`` is
 deliberately excluded — worker counts change wall-clock, never output
-(the equivalence suites lock that) — while ``place_region_parallel``
-*is* keyed because region-parallel placement legitimately differs from
-the serial joint solve.
+(the equivalence suites lock that).
 
-Stage keys are prefix-shaped on purpose: ``generate``/``partition``
-depend only on (factory, tech, seed), ``place`` adds the
-region-parallel flag, and ``prepared`` adds target frequency + scan.
+Stage keys are prefix-shaped on purpose: ``generate``/``partition``/
+``place`` depend only on (factory, tech, seed), and ``prepared`` adds
+target frequency + scan.
 A frequency or scan sweep therefore shares the expensive placement
 artifact across every cell of the sweep.
 
@@ -47,10 +45,9 @@ from repro.parallel import dumps_snapshot
 #: cover co_consts/co_names/co_freevars and nested code objects, not
 #: co_code alone (constants are referenced by index, so a literal
 #: edit used to leave co_code byte-identical).  3: the place stage key
-#: covers the solver backend (cg placements differ within tolerance,
-#: not bit-exactly), and the route ``batch_ms`` dispatch-sizing knob
-#: is excluded as result-neutral.
-KEY_SCHEMA_VERSION = 3
+#: covered the solver backend.  4: the place stage key drops the
+#: region-parallel flag and the solver backend (both options are gone).
+KEY_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -237,16 +234,13 @@ def prepare_stage_keys(factory, tech, seeds, config) -> PrepareKeys:
     actually consumes participate — see the module docstring.
     """
     base = _base(factory, tech, seeds)
-    place = dict(base,
-                 region_parallel=bool(config.place_region_parallel),
-                 solver=str(getattr(config, "place_solver", "direct")))
-    prepared = dict(place,
+    prepared = dict(base,
                     freq_mhz=float(config.target_freq_mhz),
                     scan=bool(config.with_scan))
     return PrepareKeys(
         generate=digest_key("prepare.generate", base),
         partition=digest_key("prepare.partition", base),
-        place=digest_key("prepare.place", place),
+        place=digest_key("prepare.place", base),
         prepared=digest_key("prepare.design", prepared),
     )
 
@@ -260,25 +254,12 @@ def prepare_key(factory, tech, seeds, config) -> ContentKey:
 #: wall-clock only (locked by the equivalence suites), never results.
 _RESULT_NEUTRAL_CONFIG_FIELDS = frozenset({"parallel"})
 
-#: RouteConfig fields excluded for the same reason: ``batch_ms`` only
-#: sizes wavefront pool dispatches — the routing-invariant suite locks
-#: trees/grid/stats bit-identical at any batch size.
-_RESULT_NEUTRAL_ROUTE_FIELDS = frozenset({"batch_ms"})
-
 
 def config_fingerprint(config) -> Any:
     """Canonical form of every result-relevant flow-config field."""
-    out = {}
-    for field in dataclasses.fields(config):
-        if field.name in _RESULT_NEUTRAL_CONFIG_FIELDS:
-            continue
-        value = getattr(config, field.name)
-        if field.name == "route" and dataclasses.is_dataclass(value):
-            value = {f.name: getattr(value, f.name)
-                     for f in dataclasses.fields(value)
-                     if f.name not in _RESULT_NEUTRAL_ROUTE_FIELDS}
-        out[field.name] = value
-    return out
+    return {field.name: getattr(config, field.name)
+            for field in dataclasses.fields(config)
+            if field.name not in _RESULT_NEUTRAL_CONFIG_FIELDS}
 
 
 def flow_key(factory, tech, seeds, config) -> ContentKey:

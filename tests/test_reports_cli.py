@@ -79,3 +79,16 @@ class TestCli:
     def test_bad_command_exits(self):
         with pytest.raises(SystemExit):
             main(["definitely-not-a-command"])
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "--workers", "2", "--out", "unused.v"],
+        ["export", "--selector", "none", "--out", "unused.v"],
+        ["flow", "--place-solver", "cg"],
+        ["flow", "--place-region-parallel"],
+        ["flow", "--route-batch", "16"],
+    ])
+    def test_removed_or_foreign_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

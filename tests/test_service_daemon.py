@@ -161,6 +161,29 @@ class TestProtocol:
         assert "no_such_benchmark" in response["error"]
         assert client.ping()["ok"]
 
+    @pytest.mark.parametrize("field", ["place_region_parallel",
+                                       "place_solver", "route_batch",
+                                       "select_batch", "benchmrak"])
+    def test_unknown_flow_field_is_a_typed_error(self, daemon, field):
+        client = daemon.client()
+        counters = _Counters()
+        response = client.submit_flow(benchmark=BENCH, selector="none",
+                                      **{field: 1})
+        assert not response["ok"]
+        assert response["error"].startswith("ServiceError(")
+        assert field in response["error"]
+        assert counters.delta("service.flow_computes") == 0
+        assert client.ping()["ok"]
+
+    @pytest.mark.parametrize("payload", [["flow"], "flow", 3, None])
+    def test_non_object_request_is_a_typed_error(self, daemon, payload):
+        client = daemon.client()
+        response = client.request(payload)
+        assert not response["ok"]
+        assert response["error"].startswith("ServiceError(")
+        assert "JSON object" in response["error"]
+        assert client.ping()["ok"]
+
 
 class TestDedup:
     @pytest.mark.parametrize("flow_workers", [1, 3])

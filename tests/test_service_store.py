@@ -39,6 +39,7 @@ from repro.route import RouteConfig
 from repro.service import (ArtifactCorruptError, ArtifactStore,
                            ContentKey, flow_key, prepare_key,
                            prepare_stage_keys, tech_digest)
+from repro.service.keys import config_fingerprint
 from repro.service.store import (read_artifact_bytes,
                                  write_artifact_bytes)
 from tests.golden_util import netlist_digest
@@ -109,8 +110,6 @@ _PERTURBATIONS = {
     "pdn": False,
     "activity": BASE_CONFIG.activity + 0.01,
     "parallel": None,
-    "place_region_parallel": True,
-    "place_solver": "cg",
 }
 
 _RESULT_NEUTRAL = {"parallel"}
@@ -173,29 +172,27 @@ class TestKeyDerivation:
         assert flow_key(_maeri_factory, tech, _seeds(),
                         wide).hexdigest == base.hexdigest
 
-    def test_route_batch_ms_never_changes_key(self, tech):
-        """``batch_ms`` only sizes wavefront dispatches (the routing
-        invariant suite locks results identical at any batch size), so
-        it must not move flow keys — unlike the rest of RouteConfig."""
-        base = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
-        batched = dataclasses.replace(
-            BASE_CONFIG,
-            route=dataclasses.replace(BASE_CONFIG.route, batch_ms=997.0))
-        assert flow_key(_maeri_factory, tech, _seeds(),
-                        batched).hexdigest == base.hexdigest
-
-    def test_place_solver_changes_prepare_keys(self, tech):
-        """cg placements differ within tolerance, not bit-exactly, so
-        the place and prepared stage keys must cover the backend."""
+    def test_keys_ignore_parallel_and_follow_schema_version(
+            self, tech, monkeypatch):
+        """Worker counts never move a stage key or the config
+        fingerprint; a schema bump moves every key."""
+        import repro.service.keys as keys
+        wide = dataclasses.replace(
+            BASE_CONFIG, parallel=ParallelConfig(workers=8))
         base = prepare_stage_keys(_maeri_factory, tech, _seeds(),
                                   BASE_CONFIG)
-        cg = prepare_stage_keys(
-            _maeri_factory, tech, _seeds(),
-            dataclasses.replace(BASE_CONFIG, place_solver="cg"))
-        assert base.generate == cg.generate
-        assert base.partition == cg.partition
-        assert base.place != cg.place
-        assert base.prepared != cg.prepared
+        assert prepare_stage_keys(_maeri_factory, tech, _seeds(),
+                                  wide) == base
+        assert config_fingerprint(wide) == config_fingerprint(BASE_CONFIG)
+        flow = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
+        monkeypatch.setattr(keys, "KEY_SCHEMA_VERSION",
+                            keys.KEY_SCHEMA_VERSION + 1)
+        bumped = prepare_stage_keys(_maeri_factory, tech, _seeds(),
+                                    BASE_CONFIG)
+        for stage in ("generate", "partition", "place", "prepared"):
+            assert getattr(bumped, stage) != getattr(base, stage)
+        assert flow_key(_maeri_factory, tech, _seeds(),
+                        BASE_CONFIG) != flow
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -282,13 +279,6 @@ class TestKeyDerivation:
         assert swept.partition == base.partition
         assert swept.place == base.place
         assert swept.prepared != base.prepared
-        regioned = prepare_stage_keys(
-            _maeri_factory, tech, _seeds(),
-            dataclasses.replace(BASE_CONFIG, place_region_parallel=True))
-        assert regioned.generate == base.generate
-        assert regioned.partition == base.partition
-        assert regioned.place != base.place
-        assert regioned.prepared != base.prepared
 
     def test_unfingerprintable_factory_degrades_to_unstable(self, tech):
         opaque = object()
