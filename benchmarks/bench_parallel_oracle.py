@@ -44,7 +44,7 @@ def test_parallel_oracle_speedup(benchmark, emit):
         t0 = time.perf_counter()
         fanout = oracle_labels(
             design, router, routing,
-            parallel=ParallelConfig(workers=WORKERS, min_items=8))
+            parallel=ParallelConfig(workers=WORKERS))
         t_parallel = time.perf_counter() - t0
         return serial, fanout, t_serial, t_parallel
 

@@ -4,12 +4,12 @@ Times the select leg (DGI pretraining, fine-tuning, inference) of the
 GNN-MLS selector two ways on the routed no-MLS fabrics and writes
 ``BENCH_select.json`` at the repo root:
 
-* ``batched``             — the padded (B, L, D) path
-  (``TrainConfig.vectorized=True``), one forward/backward and
+* ``batched``             — the padded (B, L, D) production path
+  (:func:`repro.core.train_gnn_mls`), one forward/backward and
   optimizer step per length-bucketed minibatch;
 * ``per_graph_reference`` — the same minibatch schedule computed with
-  per-graph forwards and gradient accumulation
-  (``vectorized=False``), i.e. the historical per-graph kernels.
+  per-graph forwards and gradient accumulation, i.e. the oracle in
+  ``tests/select_oracle.py``.
 
 Both legs share one dataset (and its cached normalized features) and
 the same seeds, so they see identical minibatches and must select the
@@ -35,6 +35,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core import (TrainConfig, build_dataset,             # noqa: E402
                         decide_mls_nets, train_gnn_mls)
@@ -42,6 +43,8 @@ from repro.core.flow import FlowConfig, prepare_design          # noqa: E402
 from repro.harness.designs import get_benchmark                 # noqa: E402
 from repro.mls import route_with_mls                            # noqa: E402
 from repro.timing import run_sta                                # noqa: E402
+from tests.select_oracle import (decide_mls_nets_reference,     # noqa: E402
+                                 train_gnn_mls_reference)
 
 BENCH_JSON = REPO_ROOT / "BENCH_select.json"
 TREND_JSONL = REPO_ROOT / "benchmarks" / "results" / "trend.jsonl"
@@ -84,20 +87,20 @@ def bench_design(key: str, batch_size: int,
         "finetune_epochs": ft_epochs,
         "dataset_s": round(dataset_s, 3),
     }
+    cfg = TrainConfig(dgi_epochs=dgi_epochs, finetune_epochs=ft_epochs,
+                      batch_size=batch_size)
     selections = {}
-    for leg, vectorized in (("batched", True),
-                            ("per_graph_reference", False)):
-        cfg = TrainConfig(dgi_epochs=dgi_epochs,
-                          finetune_epochs=ft_epochs,
-                          batch_size=batch_size, vectorized=vectorized)
+    for leg, train, decide in (
+            ("batched", train_gnn_mls, decide_mls_nets),
+            ("per_graph_reference", train_gnn_mls_reference,
+             decide_mls_nets_reference)):
         # Fine-tune leg in isolation (the acceptance gate's metric).
-        ft_s, _ = _time(lambda: train_gnn_mls(
+        ft_s, _ = _time(lambda: train(
             dataset, spec.seeds(),
             dataclasses.replace(cfg, use_dgi=False)))
-        # Whole select leg: DGI + fine-tune + batched inference.
-        select_s, model = _time(
-            lambda: train_gnn_mls(dataset, spec.seeds(), cfg))
-        infer_s, nets = _time(lambda: decide_mls_nets(model))
+        # Whole select leg: DGI + fine-tune + inference.
+        select_s, model = _time(lambda: train(dataset, spec.seeds(), cfg))
+        infer_s, nets = _time(lambda: decide(model))
         selections[leg] = nets
         visits = ft_epochs * len(dataset.labeled_graphs)
         row[leg] = {

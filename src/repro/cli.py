@@ -57,6 +57,7 @@ import sys
 from pathlib import Path
 
 from repro.core.flow import SELECTORS
+from repro.errors import ReproError
 from repro.harness.designs import BENCHMARKS, DEFAULT_EXPERIMENT_SEED, \
     get_benchmark
 from repro.harness.tables import run_benchmark_flow
@@ -84,13 +85,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--selector", default="gnn",
                         choices=list(SELECTORS))
     _add_parallel(parser)
-    parser.add_argument("--select-batch", type=int, default=None,
-                        metavar="N",
-                        help="graphs per padded minibatch in the GNN "
-                             "selector leg (DGI, fine-tune, and "
-                             "inference share the setting); 1 runs "
-                             "the per-graph reference schedule "
-                             "(default: TrainConfig.batch_size)")
     parser.add_argument("--store", metavar="PATH", default=None,
                         help="persistent content-addressed artifact "
                              "store to read through / write back "
@@ -115,11 +109,9 @@ def _positive_int(text: str) -> int:
 
 def _add_parallel(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker processes for the what-if oracle, "
-                             "dataset build and fault simulation "
+                        help="worker processes for the oracle "
+                             "selector and fault simulation "
                              "(1 = serial; results are identical)")
-    parser.add_argument("--chunk-size", type=_positive_int, default=None,
-                        help="items per worker task (default: auto)")
 
 
 def _add_obs(parser: argparse.ArgumentParser,
@@ -144,7 +136,7 @@ def _add_obs(parser: argparse.ArgumentParser,
 
 
 def _parallel_config(args) -> ParallelConfig:
-    return ParallelConfig(workers=args.workers, chunk_size=args.chunk_size)
+    return ParallelConfig(workers=args.workers)
 
 
 def _cmd_list(_args) -> int:
@@ -179,7 +171,6 @@ def _run_flow(args, spec):
     store = _store(args)
     report = run_benchmark_flow(spec, args.selector, seed=args.seed,
                                 parallel=_parallel_config(args),
-                                select_batch=args.select_batch,
                                 store=store)
     if store is not None:
         store.flush()           # persist batched recency updates
@@ -608,7 +599,11 @@ def main(argv: list[str] | None = None) -> int:
             max_mb = args.trace_max_mb or 64
             trace.attach_sink(RotatingTraceSink(
                 args.trace, max_bytes=max_mb << 20))
-    code = handler(args)
+    try:
+        code = handler(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
     if args.trace:
         if streaming:
             sink = trace.detach_sink()

@@ -54,13 +54,9 @@ def length_bucketed_batches(lengths: np.ndarray, order: np.ndarray,
     epoch's bucket composition still varies with the shuffle — then
     chunked into consecutive groups of *batch_size*, which bounds the
     padding waste to the within-bucket length spread.  With *rng* the
-    bucket visit order is reshuffled (one extra deterministic draw);
-    with ``batch_size == 1`` the order is returned as singleton
-    batches untouched, preserving the per-graph reference schedule.
+    bucket visit order is reshuffled (one extra deterministic draw).
     """
     order = np.asarray(order, dtype=np.int64)
-    if batch_size <= 1:
-        return [order[i : i + 1] for i in range(len(order))]
     ranked = order[np.argsort(lengths[order], kind="stable")]
     batches = [ranked[i : i + batch_size]
                for i in range(0, len(ranked), batch_size)]

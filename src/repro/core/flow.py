@@ -73,9 +73,9 @@ class FlowConfig:
     gnn_refine_iters: int = 2
     pdn: bool = True
     activity: float = 0.15
-    #: Worker fan-out for the what-if oracle, the dataset build and
-    #: the die-test fault simulation.  The default (workers=1) runs
-    #: every stage serially, bit-identical to the parallel paths.
+    #: Worker fan-out for the oracle selector's what-if probes and the
+    #: die-test fault simulation.  The default (workers=1) runs every
+    #: stage serially, bit-identical to the parallel paths.
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
 
     def __post_init__(self) -> None:
@@ -332,8 +332,7 @@ def select_nets(design: Design, router: GlobalRouter, baseline,
     else:  # gnn
         dataset = build_dataset(design, router, baseline, report,
                                 num_paths=config.num_paths,
-                                num_labeled=config.num_labeled,
-                                parallel=config.parallel)
+                                num_labeled=config.num_labeled)
         model = train_gnn_mls(dataset, seeds, config.train)
         nets = decide_mls_nets(model, threshold=config.decision_threshold)
     return nets, time.perf_counter() - start, model

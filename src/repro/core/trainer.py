@@ -10,12 +10,10 @@ Both stages and inference run over zero-padded (B, L, D) minibatches
 by default (``TrainConfig.batch_size``): graphs are length-bucketed
 per epoch from the shuffle the ``finetune``/``dgi`` seed streams draw,
 padding rows contribute exact zeros through the masked attention/
-reduction stack, and one optimizer step covers each batch.  Two
-escape hatches recover the historical behavior: ``batch_size=1``
-reproduces the per-graph schedule exactly, and ``vectorized=False``
-computes the *same* minibatch loss with per-graph forwards and
-gradient accumulation — the reference implementation the equivalence
-tests and ``benchmarks/bench_select.py`` gate against.
+reduction stack, and one optimizer step covers each batch.  The per-graph reference that
+computes the same minibatch loss with one forward per graph and
+gradient accumulation lives in ``tests/select_oracle.py``; the
+equivalence tests and ``benchmarks/bench_select.py`` gate against it.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ from repro.core.encoder import EncoderConfig, GraphTransformer
 from repro.core.hypergraph import PathGraph
 from repro.core.pathset import PathDataset
 from repro.errors import TrainingError
-from repro.nn.functional import (binary_cross_entropy_with_logits,
-                                 masked_bce_with_logits)
+from repro.nn.functional import masked_bce_with_logits
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.obs import metrics, trace
@@ -54,12 +51,7 @@ class TrainConfig:
     encoder_finetune_lr: float = 2e-4
     use_dgi: bool = True           # ablation knob
     #: Graphs per padded minibatch (forward/backward/optimizer step).
-    #: 1 retains the per-graph reference schedule exactly.
     batch_size: int = 16
-    #: False routes every minibatch through per-graph forwards with
-    #: gradient accumulation instead of the padded (B, L, D) kernels —
-    #: same math within float tolerance, the benchmark's reference leg.
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -77,18 +69,10 @@ class GnnMlsModel:
         self.config = config
         self.history: dict[str, list[float]] = {}
 
-    def node_probabilities(self, graph: PathGraph) -> np.ndarray:
-        """Per-node MLS probability for one path graph."""
-        normalized = self.dataset.extractor.normalize(graph.features)
-        embeddings = self.encoder(Tensor(normalized))
-        return self.head.probabilities(embeddings)
-
     def _node_probabilities_all(self, graphs: list[PathGraph]
                                 ) -> list[np.ndarray]:
-        """Per-node probabilities for every graph, batched when the
-        config allows; the returned list aligns with *graphs*."""
-        if not (self.config.vectorized and self.config.batch_size > 1):
-            return [self.node_probabilities(g) for g in graphs]
+        """Per-node probabilities for every graph over padded batches;
+        the returned list aligns with *graphs*."""
         mats = self.dataset.normalized(graphs)
         lengths = np.array([m.shape[0] for m in mats], dtype=np.int64)
         batches = length_bucketed_batches(
@@ -148,13 +132,11 @@ def _finetune(dataset: PathDataset, encoder: GraphTransformer,
     graphs = dataset.labeled_graphs
     mats = dataset.normalized(graphs)
     lengths = np.array([m.shape[0] for m in mats], dtype=np.int64)
-    use_padded = config.vectorized and config.batch_size > 1
     losses: list[float] = []
     for epoch in range(config.finetune_epochs):
         order = rng_ft.permutation(len(mats))
         batches = length_bucketed_batches(
-            lengths, order, config.batch_size,
-            rng=rng_ft if config.batch_size > 1 else None)
+            lengths, order, config.batch_size, rng=rng_ft)
         total = 0.0
         used = 0
         with trace.span("select.finetune.epoch", epoch=epoch,
@@ -166,35 +148,18 @@ def _finetune(dataset: PathDataset, encoder: GraphTransformer,
                     continue
                 head_opt.zero_grad()
                 enc_opt.zero_grad()
-                if use_padded:
-                    feats = [mats[int(i)] for i in batch_idx]
-                    batch, mask = pad_batch(feats)
-                    length = batch.shape[1]
-                    labels = pad_rows([g.labels for g in picked], length)
-                    dec = pad_rows([g.decidable for g in picked],
-                                   length, dtype=bool)
-                    emb = encoder(Tensor(batch), mask)
-                    logits = head(emb).reshape(len(picked), length)
-                    loss = masked_bce_with_logits(
-                        logits, labels, dec & mask,
-                        pos_weight=pos_weight)
-                    loss.backward()
-                    total += float(loss.data) * len(valid)
-                else:
-                    seed = 1.0 / len(valid)
-                    for idx in batch_idx:
-                        graph = graphs[int(idx)]
-                        assert graph.labels is not None
-                        gmask = graph.decidable
-                        if not gmask.any():
-                            continue
-                        embeddings = encoder(Tensor(mats[int(idx)]))
-                        logits = head(embeddings)[gmask]
-                        targets = Tensor(graph.labels[gmask][:, None])
-                        loss = binary_cross_entropy_with_logits(
-                            logits, targets, pos_weight=pos_weight)
-                        loss.backward(np.full_like(loss.data, seed))
-                        total += float(loss.data)
+                feats = [mats[int(i)] for i in batch_idx]
+                batch, mask = pad_batch(feats)
+                length = batch.shape[1]
+                labels = pad_rows([g.labels for g in picked], length)
+                dec = pad_rows([g.decidable for g in picked],
+                               length, dtype=bool)
+                emb = encoder(Tensor(batch), mask)
+                logits = head(emb).reshape(len(picked), length)
+                loss = masked_bce_with_logits(
+                    logits, labels, dec & mask, pos_weight=pos_weight)
+                loss.backward()
+                total += float(loss.data) * len(valid)
                 head_opt.step()
                 enc_opt.step()
                 used += len(valid)
@@ -230,7 +195,6 @@ def train_gnn_mls(dataset: PathDataset, seeds: SeedBundle,
             dataset.graphs, dataset.extractor.normalize,
             epochs=config.dgi_epochs, lr=config.dgi_lr, log=log,
             batch_size=config.batch_size,
-            vectorized=config.vectorized,
             mats=dataset.normalized())
 
     # Fine-tune: head at full LR, encoder at a reduced LR.

@@ -10,8 +10,6 @@ runs of one table only pay routing + selection + signoff.
 
 from __future__ import annotations
 
-
-from repro.core.trainer import TrainConfig
 from repro.core.flow import (FlowConfig, FlowReport, run_flow,
                              prepare_design_cached)
 from repro.harness.designs import (BenchmarkSpec, get_benchmark,
@@ -31,7 +29,6 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
                        dft_strategy: str | None = None,
                        seed: int = DEFAULT_EXPERIMENT_SEED,
                        parallel: ParallelConfig | None = None,
-                       select_batch: int | None = None,
                        store=None) -> FlowReport:
     """Run (or fetch) one cached flow.
 
@@ -49,9 +46,6 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
     the whole stored report.
     """
     parallel = parallel or ParallelConfig()
-    train = TrainConfig() if select_batch is None \
-        else TrainConfig(batch_size=select_batch,
-                         vectorized=select_batch > 1)
     config = FlowConfig(
         selector=selector,
         target_freq_mhz=spec.target_freq_mhz,
@@ -61,7 +55,6 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
         dft_strategy=dft_strategy,
         activity=spec.activity,
         parallel=parallel,
-        train=train,
     )
     content = flow_key(spec.factory, spec.tech(), spec.seeds(seed),
                        config)

@@ -98,24 +98,40 @@ _TOKEN_RE = re.compile(
     r"\\[^ ]+ |\(\*.*?\*\)|[A-Za-z_][A-Za-z0-9_$]*|[().,;=]")
 
 
-def _tokenize(text: str) -> list[str]:
-    # Strip comments first.
+def _blank_keeping_newlines(match: re.Match) -> str:
+    return "\n" * match.group(0).count("\n")
+
+
+def _tokenize(text: str, source: str) -> tuple[list[str], list[int]]:
+    """Tokens of *text* plus the 1-based source line of each one.
+
+    Comments are stripped first; a ``/* */`` block keeps its newlines
+    so every later token still reports its true line.
+    """
     text = re.sub(r"//[^\n]*", "", text)
-    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
-    out = []
+    text = re.sub(r"/\*.*?\*/", _blank_keeping_newlines, text,
+                  flags=re.S)
+    tokens: list[str] = []
+    lines: list[int] = []
+    line = 1
     pos = 0
     while pos < len(text):
         ch = text[pos]
         if ch.isspace():
+            line += ch == "\n"
             pos += 1
             continue
         match = _TOKEN_RE.match(text, pos)
         if not match:
             raise NetlistError(
-                f"verilog parse error near: {text[pos:pos + 40]!r}")
-        out.append(match.group(0))
+                f"{source}:{line}: verilog parse error near: "
+                f"{text[pos:pos + 40]!r}")
+        token = match.group(0)
+        tokens.append(token)
+        lines.append(line)
+        line += token.count("\n")
         pos = match.end()
-    return out
+    return tokens, lines
 
 
 def _as_library_map(library) -> dict[str, CellLibrary]:
@@ -135,11 +151,18 @@ def _as_library_map(library) -> dict[str, CellLibrary]:
 class _Parser:
     """Recursive-descent parser for the emitted dialect."""
 
-    def __init__(self, tokens: list[str],
-                 libraries: dict[str, CellLibrary]):
+    def __init__(self, tokens: list[str], lines: list[int],
+                 libraries: dict[str, CellLibrary], source: str):
         self.tokens = tokens
+        self.lines = lines
         self.pos = 0
         self.libraries = libraries
+        self.source = source
+
+    def error(self, message: str) -> NetlistError:
+        """A parse error located at the most recently read token."""
+        line = self.lines[self.pos - 1] if self.pos else 1
+        return NetlistError(f"{self.source}:{line}: {message}")
 
     def resolve_cell(self, cell_name: str, attrs: dict[str, str],
                      inst_name: str):
@@ -163,14 +186,14 @@ class _Parser:
     def next(self) -> str:
         token = self.peek()
         if token is None:
-            raise NetlistError("unexpected end of verilog input")
+            raise self.error("unexpected end of verilog input")
         self.pos += 1
         return token
 
     def expect(self, token: str) -> None:
         got = self.next()
         if got != token:
-            raise NetlistError(f"expected {token!r}, got {got!r}")
+            raise self.error(f"expected {token!r}, got {got!r}")
 
     def pending_attrs(self) -> dict[str, str]:
         attrs: dict[str, str] = {}
@@ -231,7 +254,7 @@ class _Parser:
                     if token2 == ",":
                         continue
                     if token2 != ".":
-                        raise NetlistError(
+                        raise self.error(
                             f"expected .pin(...), got {token2!r}")
                     pin_name = self.next()
                     self.expect("(")
@@ -280,8 +303,12 @@ def read_verilog(path: str | Path,
     same-named cells at different nodes.  Unknown cells raise
     :class:`~repro.errors.TechError`.
     """
-    text = Path(path).read_text()
-    parser = _Parser(_tokenize(text), _as_library_map(library))
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise NetlistError(f"{path}: {exc.strerror or exc}") from None
+    tokens, lines = _tokenize(text, str(path))
+    parser = _Parser(tokens, lines, _as_library_map(library), str(path))
     netlist = parser.parse()
     netlist.validate()
     return netlist

@@ -110,9 +110,10 @@ class MetricsRegistry:
         self._hists.clear()
 
     def write_json(self, path: str | Path) -> None:
+        # The snapshot is already sorted; sort_keys would also re-sort
+        # histogram bucket labels as strings ("1.5e-05" after "0.5").
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=2, sort_keys=True,
-                      default=str)
+            json.dump(self.snapshot(), fh, indent=2, default=str)
             fh.write("\n")
 
 

@@ -2,14 +2,13 @@
 
 The paper calls exhaustive per-net what-if STA "computationally
 prohibitive"; our reproduction makes one probe cheap, but the flow
-still runs thousands of them — plus the die-test fault simulation and
-the dataset build — strictly serially.
-This package fans those loops out over worker processes against a
-*shared pickled snapshot* of the design state:
+still runs thousands of them.  This package fans the two loops that
+pay for it — the oracle selector's what-if probes and the die-test
+fault simulation — out over worker processes against a *shared
+pickled snapshot* of the design state:
 
-* :class:`~repro.parallel.config.ParallelConfig` — the knobs
-  (``workers``, ``chunk_size``, ``min_items`` serial-fallback
-  threshold, ``start_method``);
+* :class:`~repro.parallel.config.ParallelConfig` — the one knob,
+  ``workers``;
 * :func:`~repro.parallel.pool.snapshot_map` — chunked, order-
   preserving map of a module-level worker function over items, with
   the snapshot pickled once and shipped to each worker at startup;

@@ -31,38 +31,29 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+#: Serial fallback: workloads smaller than this never fan out — below
+#: it the pool's start-up and snapshot cost cannot amortize.
+MIN_ITEMS = 64
+
+#: Chunks per worker when sizing tasks: a few waves balance load
+#: without per-item dispatch overhead.
+WAVES = 4
+
+
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How (and whether) to fan a hot loop out over worker processes.
+    """How many worker processes a hot loop may fan out over.
 
     ``workers=1`` (the default) disables the pool entirely: callers
-    run their original serial loop, bit-identical to pre-parallel
-    behavior.  Small workloads also stay serial — below ``min_items``
-    the pool's spawn + snapshot cost cannot amortize.
-
-    ``chunk_size=None`` auto-sizes chunks so each worker sees a few
-    waves of work (load balancing without per-item dispatch overhead).
+    run their original serial loop, bit-identical to the parallel
+    path.  Workloads below :data:`MIN_ITEMS` also stay serial.
     """
 
     workers: int = 1
-    chunk_size: int | None = None
-    #: Serial fallback: workloads smaller than this never fan out.
-    min_items: int = 64
-    #: multiprocessing start method; None = platform default (fork on
-    #: Linux, which makes snapshot shipping nearly free).
-    start_method: str | None = None
-    #: Target number of chunks per worker when auto-sizing.
-    waves: int = 4
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.min_items < 0:
-            raise ValueError(f"min_items must be >= 0, got {self.min_items}")
-        if self.waves < 1:
-            raise ValueError(f"waves must be >= 1, got {self.waves}")
 
     @property
     def enabled(self) -> bool:
@@ -76,7 +67,7 @@ class ParallelConfig:
         slice one CPU while paying spawn + snapshot costs.  The
         degradation is logged once per process so sweeps stay quiet.
         """
-        if not (self.enabled and n_items >= max(self.min_items, 2)):
+        if not (self.enabled and n_items >= max(MIN_ITEMS, 2)):
             return False
         if usable_cores() <= 1:
             global _DEGRADE_LOGGED
@@ -91,9 +82,7 @@ class ParallelConfig:
         return True
 
     def resolve_chunk_size(self, n_items: int) -> int:
-        """Explicit chunk size, or ~``waves`` chunks per worker."""
-        if self.chunk_size is not None:
-            return self.chunk_size
+        """Items per task: about :data:`WAVES` chunks per worker."""
         if n_items <= 0:
             return 1
-        return max(1, _ceil_div(n_items, self.workers * self.waves))
+        return max(1, _ceil_div(n_items, self.workers * WAVES))

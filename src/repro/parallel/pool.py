@@ -45,6 +45,11 @@ T = TypeVar("T")
 #: segfault on 128PE-class designs.
 _RECURSION_LIMITS = (50_000,)
 
+#: multiprocessing start method; None is the platform default (fork on
+#: Linux, which makes snapshot shipping nearly free).  Platforms without
+#: fork take the pickled-payload branch of :func:`snapshot_map`.
+START_METHOD: str | None = None
+
 #: Per-process snapshot installed by the pool initializer.
 _WORKER_STATE: Any = None
 
@@ -171,7 +176,7 @@ def snapshot_map(fn: Callable[[Any, list], list], items: Iterable,
     if not config.should_parallelize(len(work)):
         metrics.inc("pool.serial_tasks", len(chunks))
         return _serial_run(fn, snapshot, chunks)
-    ctx = mp.get_context(config.start_method)   # bad method -> ValueError
+    ctx = mp.get_context(START_METHOD)
     global _FORK_SNAPSHOT
     forked = ctx.get_start_method() == "fork"
     if forked:

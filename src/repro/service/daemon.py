@@ -15,8 +15,10 @@ per line in both directions; ops:
 ``flow``      run (or replay) one benchmark flow; responds with the
               table row, the report digest, timing breakdown and —
               on request — the on-disk paths of the pickled
-              :class:`FlowReport` artifacts.  A field the daemon does
-              not read is an error, not silently ignored;
+              :class:`FlowReport` artifacts.  Every field is decoded
+              and checked before the request is queued: an unknown
+              or ill-typed field is an error naming it, never
+              coerced or silently ignored;
 ``shutdown``  drain nothing, stop now (the store is crash-safe:
               every artifact write is atomic).
 
@@ -56,10 +58,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Thread
 
@@ -75,16 +78,13 @@ log = get_logger("repro.service.daemon")
 #: ``health``/``metrics`` ops, request ids and latency histograms.
 PROTOCOL_VERSION = 2
 
-#: Fields of a ``flow`` request that identify the computation.  This
-#: tuple is the *dedup* key (request-level, cheap to derive in the
-#: event loop); content-level equivalence across differently-phrased
-#: requests is still caught by the store's content keys.
-_FLOW_REQUEST_FIELDS = ("benchmark", "selector", "seed", "with_scan",
-                        "dft_strategy", "freq_mhz", "workers")
+#: Benchmark a ``flow`` request runs when it names none.
+DEFAULT_BENCHMARK = "maeri16_hetero"
 
 #: Every field a ``flow`` request may carry; any other is rejected.
-_FLOW_ACCEPTED_FIELDS = frozenset(_FLOW_REQUEST_FIELDS
-                                  + ("op", "save_report"))
+_FLOW_ACCEPTED_FIELDS = frozenset((
+    "op", "benchmark", "selector", "seed", "with_scan", "dft_strategy",
+    "freq_mhz", "workers", "save_report"))
 
 
 @dataclass(frozen=True)
@@ -104,40 +104,104 @@ class ServiceError(FlowError):
     """Daemon-level failure (bad request, socket in use...)."""
 
 
-def _check_flow_fields(request: dict) -> None:
+@dataclass(frozen=True)
+class FlowRequest:
+    """One decoded ``flow`` request with every default filled in.
+
+    Equal requests share one dedup slot; ``save_report`` only shapes
+    the response, so it takes no part in equality.
+    """
+
+    benchmark: str
+    selector: str
+    seed: int
+    with_scan: bool
+    dft_strategy: str | None
+    freq_mhz: float
+    workers: int
+    save_report: bool = field(default=False, compare=False)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _one_of(choices) -> tuple:
+    return (lambda v: isinstance(v, str) and v in choices,
+            f"one of {sorted(choices)}")
+
+
+def _decode(request: dict, name: str, default, valid, expected: str):
+    """``request[name]``, or *default* when absent or null."""
+    value = request.get(name)
+    if value is None:
+        return default
+    if not valid(value):
+        raise ServiceError(f"flow request field {name!r}: expected "
+                           f"{expected}, got {value!r}")
+    return value
+
+
+def decode_flow_request(request: dict) -> FlowRequest:
+    """Validate every field of a ``flow`` request and fill defaults.
+
+    An absent or null field takes its default; anything else must have
+    the field's exact JSON type and range.  A bad field raises a
+    :class:`ServiceError` naming it, before the request is queued.
+    """
+    from repro.core.flow import DFT_STRATEGIES, SELECTORS, FlowConfig
+    from repro.harness.designs import BENCHMARKS, DEFAULT_EXPERIMENT_SEED
+
     unknown = sorted(set(request) - _FLOW_ACCEPTED_FIELDS)
     if unknown:
         raise ServiceError(
             f"unknown flow request field(s): {', '.join(unknown)}")
+    flag = (lambda v: isinstance(v, bool), "true or false")
+    benchmark = _decode(request, "benchmark", DEFAULT_BENCHMARK,
+                        *_one_of(BENCHMARKS))
+    decoded = FlowRequest(
+        benchmark=benchmark,
+        selector=_decode(request, "selector", FlowConfig.selector,
+                         *_one_of(SELECTORS)),
+        seed=_decode(request, "seed", DEFAULT_EXPERIMENT_SEED, _is_int,
+                     "an integer"),
+        with_scan=_decode(request, "with_scan", False, *flag),
+        dft_strategy=_decode(request, "dft_strategy", None,
+                             *_one_of(DFT_STRATEGIES)),
+        freq_mhz=float(_decode(
+            request, "freq_mhz", BENCHMARKS[benchmark].target_freq_mhz,
+            lambda v: (_is_int(v) or isinstance(v, float))
+            and math.isfinite(v) and v > 0,
+            "a finite number > 0 or null")),
+        workers=_decode(request, "workers", 1,
+                        lambda v: _is_int(v) and v >= 1,
+                        "an integer >= 1"),
+        save_report=_decode(request, "save_report", False, *flag),
+    )
+    if decoded.dft_strategy is not None and not decoded.with_scan:
+        raise ServiceError("flow request field 'dft_strategy': "
+                           "needs with_scan=true")
+    return decoded
 
 
-def _flow_dedup_key(request: dict) -> tuple:
-    return tuple(request.get(f) for f in _FLOW_REQUEST_FIELDS)
-
-
-def build_flow_config(request: dict):
-    """(spec, FlowConfig, SeedBundle) for one ``flow`` request."""
+def build_flow_config(request: FlowRequest):
+    """(spec, FlowConfig, SeedBundle) for one decoded ``flow`` request."""
     from repro.core.flow import FlowConfig
-    from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,
-                                       get_benchmark)
+    from repro.harness.designs import get_benchmark
     from repro.parallel import ParallelConfig
 
-    spec = get_benchmark(request.get("benchmark", "maeri16_hetero"))
-    # `or` would swallow an explicit seed=0; only None means "default".
-    seed = request.get("seed")
-    seed = DEFAULT_EXPERIMENT_SEED if seed is None else int(seed)
+    spec = get_benchmark(request.benchmark)
     config = FlowConfig(
-        selector=request.get("selector", "gnn"),
-        target_freq_mhz=float(request.get("freq_mhz")
-                              or spec.target_freq_mhz),
+        selector=request.selector,
+        target_freq_mhz=request.freq_mhz,
         num_paths=spec.num_paths,
         num_labeled=spec.num_labeled,
-        with_scan=bool(request.get("with_scan", False)),
-        dft_strategy=request.get("dft_strategy"),
+        with_scan=request.with_scan,
+        dft_strategy=request.dft_strategy,
         activity=spec.activity,
-        parallel=ParallelConfig(workers=int(request.get("workers") or 1)),
+        parallel=ParallelConfig(workers=request.workers),
     )
-    return spec, config, spec.seeds(seed)
+    return spec, config, spec.seeds(request.seed)
 
 
 class FlowService:
@@ -150,10 +214,10 @@ class FlowService:
                                    budget_bytes=config.budget_bytes,
                                    compress_level=config.compress_level)
         self._queue: asyncio.Queue = asyncio.Queue()
-        self._inflight: dict[tuple, asyncio.Future] = {}
-        #: Request-id bookkeeping mirroring ``_inflight``: key ->
+        self._inflight: dict[FlowRequest, asyncio.Future] = {}
+        #: Request-id bookkeeping mirroring ``_inflight``: request ->
         #: {"id", "benchmark", "selector", "since_s", "waiters"}.
-        self._inflight_info: dict[tuple, dict] = {}
+        self._inflight_info: dict[FlowRequest, dict] = {}
         self._req_seq = 0
         self._executor = ThreadPoolExecutor(
             max_workers=config.flow_workers,
@@ -307,14 +371,13 @@ class FlowService:
 
     # -- the flow op ---------------------------------------------------------
 
-    async def _op_flow(self, request: dict) -> dict:
-        _check_flow_fields(request)
-        key = _flow_dedup_key(request)
+    async def _op_flow(self, raw: dict) -> dict:
+        request = decode_flow_request(raw)
         t0 = time.perf_counter()
-        future = self._inflight.get(key)
+        future = self._inflight.get(request)
         if future is not None:
             metrics.inc("service.dedup_hits")
-            info = self._inflight_info.get(key)
+            info = self._inflight_info.get(request)
             if info is not None:
                 info["waiters"] += 1
             request_id = info["id"] if info else None
@@ -324,13 +387,13 @@ class FlowService:
             self._req_seq += 1
             request_id = f"req-{self._req_seq}"
             future = self._loop.create_future()
-            self._inflight[key] = future
-            self._inflight_info[key] = {
+            self._inflight[request] = future
+            self._inflight_info[request] = {
                 "id": request_id, "since_s": time.time(), "waiters": 1,
-                "benchmark": request.get("benchmark", "maeri16_hetero"),
-                "selector": request.get("selector", "gnn")}
+                "benchmark": request.benchmark,
+                "selector": request.selector}
             metrics.set_gauge("service.inflight", len(self._inflight))
-            await self._queue.put((key, request, future, request_id))
+            await self._queue.put((request, future, request_id))
             metrics.set_gauge("service.queue_depth", self._queue.qsize())
         try:
             response = dict(await asyncio.shield(future))
@@ -347,20 +410,20 @@ class FlowService:
                          time.perf_counter() - t0)
         return response
 
-    def _finish_inflight(self, key: tuple) -> None:
-        self._inflight.pop(key, None)
-        self._inflight_info.pop(key, None)
+    def _finish_inflight(self, request: FlowRequest) -> None:
+        self._inflight.pop(request, None)
+        self._inflight_info.pop(request, None)
         metrics.set_gauge("service.inflight", len(self._inflight))
 
     async def _worker(self) -> None:
         while True:
-            key, request, future, request_id = await self._queue.get()
+            request, future, request_id = await self._queue.get()
             try:
                 result = await self._loop.run_in_executor(
                     self._executor, self._run_flow_job, request,
                     request_id)
             except Exception as exc:           # surfaced per-awaiter
-                self._finish_inflight(key)
+                self._finish_inflight(request)
                 if not future.done():
                     future.set_exception(exc)
                 continue
@@ -368,17 +431,17 @@ class FlowService:
                 self._queue.task_done()
                 metrics.set_gauge("service.queue_depth",
                                   self._queue.qsize())
-            self._finish_inflight(key)
+            self._finish_inflight(request)
             if not future.done():
                 future.set_result(result)
 
-    def _run_flow_job(self, request: dict,
+    def _run_flow_job(self, request: FlowRequest,
                       request_id: str | None = None) -> dict:
         """Executor-thread body: store lookup or full flow compute."""
         from repro.service.stages import (flow_artifact_paths,
                                           run_flow_stored)
         spec, config, seeds = build_flow_config(request)
-        want_report = bool(request.get("save_report", False))
+        want_report = request.save_report
         # Pin the request id on this executor thread: every span the
         # job emits (and every pool-worker span merged back into it)
         # carries req=<id>, so cross-process traces group by request.

@@ -47,7 +47,9 @@ from repro.parallel import dumps_snapshot
 #: edit used to leave co_code byte-identical).  3: the place stage key
 #: covered the solver backend.  4: the place stage key drops the
 #: region-parallel flag and the solver backend (both options are gone).
-KEY_SCHEMA_VERSION = 4
+#: 5: the canonical ``TrainConfig`` drops ``vectorized`` (the per-graph
+#: trainer moved out of the library).
+KEY_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,21 @@ def _pretend_multicore(monkeypatch):
                         lambda: max(4, real()))
 
 
+@pytest.fixture()
+def pool_min_items(monkeypatch):
+    """Setter for the pool's serial-fallback threshold.
+
+    ``repro.parallel.config.MIN_ITEMS`` keeps small production loops
+    serial; tests lower it for one test so the small fabrics' workloads
+    actually reach the process pool.
+    """
+    import repro.parallel.config as parallel_config
+
+    def set_min_items(value: int) -> None:
+        monkeypatch.setattr(parallel_config, "MIN_ITEMS", value)
+    return set_min_items
+
+
 @pytest.fixture(scope="session")
 def hetero_tech() -> TechSetup:
     return TechSetup.build("16nm", "28nm", 6)

@@ -16,6 +16,7 @@ Covers the repro.obs contracts end to end:
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -175,16 +176,18 @@ def _scale_chunk(state, chunk):
 
 
 class TestWorkerSpanMerge:
-    def test_snapshot_map_merges_pool_chunk_spans(self, tmp_path):
+    def test_snapshot_map_merges_pool_chunk_spans(self, tmp_path,
+                                                  pool_min_items):
+        pool_min_items(1)
         trace.enable()
         trace.reset()
-        config = ParallelConfig(workers=2, min_items=1, chunk_size=3)
+        config = ParallelConfig(workers=2)
         with trace.span("driver") as driver:
             out = snapshot_map(_scale_chunk, list(range(9)), 10, config)
         assert out == [10 * i for i in range(9)]
         recs = by_name(trace.records)
         chunks = recs["pool.chunk"]
-        assert len(chunks) == 3
+        assert len(chunks) == math.ceil(9 / config.resolve_chunk_size(9))
         # Every chunk span hangs off the driver span regardless of
         # which process (pool worker or serial fallback) ran it.
         assert all(c["parent"] == driver.span_id for c in chunks)

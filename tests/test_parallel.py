@@ -1,7 +1,7 @@
 """Equivalence suite for the process-pool engine.
 
 The contract under test: every parallelized hot loop — the what-if
-oracle, the die-test fault simulation and the dataset build — returns
+oracle and the die-test fault simulation — returns
 results *identical* to its serial twin under the same seeds, for any
 worker count.  Plus unit coverage
 of the pool plumbing itself and the prepare-design memo cache.
@@ -12,13 +12,11 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pytest
 
 from repro import FlowConfig, run_flow
 from repro.core.flow import (clear_prepare_cache, prepare_design,
                              prepare_design_cached)
-from repro.core.pathset import build_dataset
 from repro.dft.fault_sim import simulate_faults
 from repro.dft.faults import build_fault_universe
 from repro.dft.mls_dft import die_test_fault_sim, untestable_fault_fraction
@@ -27,15 +25,22 @@ from repro.mls.oracle import candidate_nets, oracle_labels, oracle_select
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.parallel import (ParallelConfig, chunked, dumps_snapshot,
                             loads_snapshot, snapshot_map)
+from repro.parallel.config import MIN_ITEMS, WAVES
 from repro.route import GlobalRouter
 from repro.rng import SeedBundle, stream
 from repro.timing import run_sta
 
 from tests.conftest import TEST_SEED, build_small_design
 
-#: Fan out over 4 workers; min_items low enough that the small test
-#: fabric's workloads actually hit the pool.
-POOL4 = ParallelConfig(workers=4, min_items=8)
+#: Fan out over 4 workers.
+POOL4 = ParallelConfig(workers=4)
+
+
+@pytest.fixture(autouse=True)
+def _small_workloads_fan_out(pool_min_items):
+    """Lower the serial-fallback threshold so the small test fabric's
+    workloads actually hit the pool."""
+    pool_min_items(8)
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +85,7 @@ class TestChunked:
 
 class TestParallelConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"workers": 0}, {"workers": -2}, {"chunk_size": 0},
-        {"min_items": -1}, {"waves": 0},
+        {"workers": 0}, {"workers": -2},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -92,23 +96,20 @@ class TestParallelConfig:
         assert not cfg.enabled
         assert not cfg.should_parallelize(10_000)
 
-    def test_small_workloads_stay_serial(self):
-        cfg = ParallelConfig(workers=4, min_items=64)
-        assert not cfg.should_parallelize(63)
-        assert cfg.should_parallelize(64)
-
-    def test_explicit_chunk_size_wins(self):
-        cfg = ParallelConfig(workers=4, chunk_size=7)
-        assert cfg.resolve_chunk_size(1000) == 7
+    def test_small_workloads_stay_serial(self, pool_min_items):
+        pool_min_items(MIN_ITEMS)
+        cfg = ParallelConfig(workers=4)
+        assert not cfg.should_parallelize(MIN_ITEMS - 1)
+        assert cfg.should_parallelize(MIN_ITEMS)
 
     def test_auto_chunk_size_gives_waves_per_worker(self):
-        cfg = ParallelConfig(workers=4, waves=4)
+        cfg = ParallelConfig(workers=4)
         n = 1600
         size = cfg.resolve_chunk_size(n)
-        assert math.ceil(n / size) == 16    # workers * waves chunks
+        assert math.ceil(n / size) == 4 * WAVES   # workers * waves chunks
 
     def test_auto_chunk_size_never_zero(self):
-        cfg = ParallelConfig(workers=8, waves=4)
+        cfg = ParallelConfig(workers=8)
         assert cfg.resolve_chunk_size(1) == 1
 
 
@@ -135,8 +136,7 @@ class TestSnapshotMap:
         serial = snapshot_map(_scale_chunk, items, snapshot=3,
                               config=ParallelConfig())
         fanout = snapshot_map(_scale_chunk, items, snapshot=3,
-                              config=ParallelConfig(workers=4, min_items=4,
-                                                    chunk_size=1))
+                              config=POOL4)
         assert serial == want
         assert fanout == want
 
@@ -147,23 +147,18 @@ class TestSnapshotMap:
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError, match="unlucky"):
             snapshot_map(_explode_chunk, range(20), snapshot=None,
-                         config=ParallelConfig(workers=2, min_items=2))
+                         config=ParallelConfig(workers=2))
 
-    def test_bad_start_method_raises(self):
-        cfg = ParallelConfig(workers=2, min_items=1,
-                             start_method="teleport")
-        with pytest.raises(ValueError):
-            snapshot_map(_scale_chunk, range(10), snapshot=1, config=cfg)
-
-    def test_serial_path_uses_caller_snapshot(self):
-        # Documented semantics: below min_items the fn runs in-process
+    def test_serial_path_uses_caller_snapshot(self, pool_min_items):
+        # Documented semantics: below MIN_ITEMS the fn runs in-process
         # against the original object (no pickling round-trip).
+        pool_min_items(100)
         sink: list[int] = []
-        snapshot_map(_mutate_chunk, range(5), snapshot=sink,
-                     config=ParallelConfig(workers=4, min_items=100))
+        snapshot_map(_mutate_chunk, range(5), snapshot=sink, config=POOL4)
         assert sink   # mutated in place -> serial path taken
 
-    def test_broken_pool_degrades_to_serial(self, monkeypatch):
+    def test_broken_pool_degrades_to_serial(self, monkeypatch,
+                                            pool_min_items):
         import repro.parallel.config as config_mod
         import repro.parallel.pool as pool_mod
 
@@ -173,21 +168,22 @@ class TestSnapshotMap:
 
         monkeypatch.setattr(config_mod, "usable_cores", lambda: 4)
         monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", Boom)
+        pool_min_items(2)
         sink: list[int] = []
         with pytest.warns(RuntimeWarning, match="pool unavailable"):
             out = snapshot_map(_mutate_chunk, [1, 2, 3], snapshot=sink,
-                               config=ParallelConfig(workers=4,
-                                                     min_items=2))
+                               config=POOL4)
         assert out == [1, 2, 3]
         assert sink     # ran in-process against the caller's object
 
-    def test_fork_slot_released_after_map(self, monkeypatch):
+    def test_fork_slot_released_after_map(self, monkeypatch,
+                                          pool_min_items):
         import repro.parallel.config as config_mod
         import repro.parallel.pool as pool_mod
         monkeypatch.setattr(config_mod, "usable_cores", lambda: 4)
+        pool_min_items(2)
         assert snapshot_map(_scale_chunk, [1, 2], snapshot=5,
-                            config=ParallelConfig(workers=2,
-                                                  min_items=2)) == [5, 10]
+                            config=ParallelConfig(workers=2)) == [5, 10]
         assert pool_mod._FORK_SNAPSHOT is None
 
     def test_design_snapshot_roundtrip(self, probe_setup):
@@ -223,16 +219,16 @@ class TestOracleEquivalence:
         assert oracle_select(design, router, routing) == \
             oracle_select(design, router, routing, parallel=POOL4)
 
-    def test_spawn_start_method_identical(self, probe_setup):
+    def test_spawn_start_method_identical(self, probe_setup, monkeypatch):
         # Spawn ships the pickled snapshot instead of inheriting it
         # copy-on-write; results must not depend on the start method.
+        import repro.parallel.pool as pool_mod
         design, router, routing = probe_setup
         nets = candidate_nets(design)[:40]
         serial = oracle_labels(design, router, routing, nets=nets)
-        spawned = oracle_labels(
-            design, router, routing, nets=nets,
-            parallel=ParallelConfig(workers=2, min_items=8,
-                                    start_method="spawn"))
+        monkeypatch.setattr(pool_mod, "START_METHOD", "spawn")
+        spawned = oracle_labels(design, router, routing, nets=nets,
+                                parallel=ParallelConfig(workers=2))
         assert serial == spawned
 
 
@@ -277,43 +273,6 @@ class TestFaultSimEquivalence:
             mls_design, stream("frac", TEST_SEED), patterns=64,
             parallel=POOL4)
         assert serial == fanout
-
-
-def _graphs_equal(a, b) -> bool:
-    if a.endpoint != b.endpoint or a.slack_ps != b.slack_ps:
-        return False
-    if a.net_names != b.net_names:
-        return False
-    if not np.array_equal(a.features, b.features):
-        return False
-    if not np.array_equal(a.decidable, b.decidable):
-        return False
-    if (a.labels is None) != (b.labels is None):
-        return False
-    return a.labels is None or np.array_equal(a.labels, b.labels)
-
-
-class TestBuildDatasetEquivalence:
-    def test_dataset_identical(self, probe_setup):
-        design, router, routing = probe_setup
-        report = run_sta(design)
-        serial = build_dataset(design, router, routing, report,
-                               num_paths=60, num_labeled=30)
-        fanout = build_dataset(design, router, routing, report,
-                               num_paths=60, num_labeled=30,
-                               parallel=POOL4)
-        assert len(serial.graphs) == len(fanout.graphs)
-        assert all(_graphs_equal(x, y)
-                   for x, y in zip(serial.graphs, fanout.graphs))
-        assert len(serial.labeled_graphs) == len(fanout.labeled_graphs)
-        assert all(_graphs_equal(x, y)
-                   for x, y in zip(serial.labeled_graphs,
-                                   fanout.labeled_graphs))
-        assert serial.net_labels == fanout.net_labels
-        assert np.array_equal(serial.extractor._mean,
-                              fanout.extractor._mean)
-        assert np.array_equal(serial.extractor._std,
-                              fanout.extractor._std)
 
 
 # -- prepare cache + golden determinism --------------------------------------
@@ -373,7 +332,7 @@ class TestGoldenDeterminism:
         with the same SeedBundle, through the prepare cache AND the
         worker fan-out (runtime_min excluded: it is wall-clock)."""
         clear_prepare_cache()
-        cfg = _fast_config(parallel=ParallelConfig(workers=2, min_items=8))
+        cfg = _fast_config(parallel=ParallelConfig(workers=2))
         rows = []
         for _ in range(2):
             design = prepare_design_cached(_tiny_factory, hetero_tech,
@@ -387,13 +346,12 @@ class TestGoldenDeterminism:
 
     def test_flow_row_identical_across_worker_counts(self, hetero_tech):
         """The same flow at workers=1 and workers=2 prints the same row:
-        only the oracle, dataset and fault-simulation loops fan out,
-        and each is bit-identical to its serial loop."""
+        only the oracle and fault-simulation loops fan out, and each
+        is bit-identical to its serial loop."""
         rows = []
         for workers in (1, 2):
             clear_prepare_cache()
-            cfg = _fast_config(parallel=ParallelConfig(workers=workers,
-                                                       min_items=8))
+            cfg = _fast_config(parallel=ParallelConfig(workers=workers))
             report = run_flow(_tiny_factory, hetero_tech,
                               SeedBundle(TEST_SEED), cfg)
             row = {k: v for k, v in report.row().items()

@@ -86,9 +86,33 @@ class TestCli:
         ["flow", "--place-solver", "cg"],
         ["flow", "--place-region-parallel"],
         ["flow", "--route-batch", "16"],
+        ["flow", "--select-batch", "4"],
+        ["flow", "--chunk-size", "8"],
     ])
     def test_removed_or_foreign_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_verilog_parse_error_is_one_line_exit_2(self, tmp_path,
+                                                   capsys):
+        bad = tmp_path / "bad.v"
+        bad.write_text("module m (a, y);\n  input a;\n  output y;\n"
+                       "  wire n1\n  INVX1 u0 (.A(a), .Y(n1));\n"
+                       "endmodule\n")
+        code = main(["flow", "--benchmark", "maeri16_hetero",
+                     "--selector", "none", "--verilog", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:5: expected ';', got 'INVX1'\n"
+
+    def test_missing_verilog_file_is_one_line_exit_2(self, tmp_path,
+                                                     capsys):
+        missing = tmp_path / "missing.v"
+        code = main(["flow", "--selector", "none",
+                     "--verilog", str(missing)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: ")
+        assert err.count("\n") == 1

@@ -1,16 +1,14 @@
 """Batched selector-leg equivalence and determinism.
 
-Locks the contract of the padded (B, L, D) rework: batched forwards
-match per-graph forwards within 1e-9 (padding rows contribute exact
-zeros), the masked losses equal their per-graph means, length
-bucketing partitions the epoch order deterministically, the
-``vectorized=False`` reference trainer tracks the padded trainer, and
-two same-seed runs select the identical net set.
+Locks the contract of the padded (B, L, D) selector leg: batched
+forwards match per-graph forwards within 1e-9 (padding rows contribute
+exact zeros), the masked losses equal their per-graph means, length
+bucketing partitions the epoch order deterministically, the padded
+trainer tracks the per-graph reference in ``tests/select_oracle.py``,
+and two same-seed runs select the identical net set.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -21,16 +19,17 @@ from repro.core import (EncoderConfig, GraphTransformer, TrainConfig,
 from repro.core.batching import (length_bucketed_batches, pad_batch,
                                  pad_rows)
 from repro.core.dgi import DGIPretrainer
-from repro.core.classifier import DecisionHead
 from repro.nn.functional import (binary_cross_entropy_with_logits,
-                                 dgi_loss, masked_bce_with_logits,
-                                 masked_dgi_loss)
+                                 masked_bce_with_logits)
 from repro.nn.tensor import Tensor
 from repro.route import GlobalRouter
 from repro.rng import SeedBundle
 from repro.timing import run_sta
 
 from tests.conftest import TEST_SEED, build_small_design
+from tests.select_oracle import (decide_mls_nets_reference, dgi_loss_for,
+                                 net_probabilities_reference,
+                                 train_gnn_mls_reference)
 
 #: Forward/loss equivalence tolerance the issue gates on: padding
 #: changes reduction grouping (pairwise summation), never the terms.
@@ -137,13 +136,15 @@ class TestMaskedLosses:
 
     def test_batched_dgi_loss_matches_per_graph(self):
         """With corruption pinned deterministic, loss_for_batch equals
-        the mean of loss_for over the same graphs."""
+        the mean of the oracle's per-graph DGI loss over the same
+        graphs."""
         rng = np.random.default_rng(11)
         mats = _mats(rng, [4, 9, 6])
         pre = DGIPretrainer(_encoder(5), np.random.default_rng(2))
         pre.corrupt = lambda m: m[::-1].copy()
         batched = pre.loss_for_batch(mats)
-        expect = np.mean([float(pre.loss_for(m).data) for m in mats])
+        expect = np.mean([float(dgi_loss_for(pre, m).data)
+                          for m in mats])
         assert float(batched.data) == pytest.approx(expect, abs=TOL)
 
 
@@ -155,17 +156,10 @@ class TestBucketing:
         rng = np.random.default_rng(seed)
         lengths = rng.integers(1, 30, size=n)
         order = rng.permutation(n)
-        batches = length_bucketed_batches(lengths, order, batch,
-                                          rng=rng if batch > 1 else None)
+        batches = length_bucketed_batches(lengths, order, batch, rng=rng)
         flat = np.concatenate(batches)
         assert sorted(flat.tolist()) == list(range(n))
         assert all(len(b) <= batch for b in batches)
-
-    def test_batch_size_one_preserves_order_exactly(self):
-        lengths = np.array([5, 2, 9, 1])
-        order = np.array([2, 0, 3, 1])
-        batches = length_bucketed_batches(lengths, order, 1)
-        assert [int(b[0]) for b in batches] == [2, 0, 3, 1]
 
     def test_same_seed_same_buckets(self):
         lengths = np.random.default_rng(3).integers(1, 30, size=25)
@@ -194,21 +188,18 @@ def trained_pair(hetero_tech):
 class TestTrainerEquivalence:
     def test_vectorized_tracks_accumulation_reference(self, trained_pair):
         """The padded trainer and the per-graph gradient-accumulation
-        reference see the same minibatches and produce loss
-        trajectories within tolerance plus the identical net set."""
+        oracle see the same minibatches and produce loss trajectories
+        within tolerance plus the identical net set."""
         dataset, config = trained_pair
-        runs = {}
-        for vectorized in (True, False):
-            cfg = dataclasses.replace(config, vectorized=vectorized)
-            model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), cfg)
-            runs[vectorized] = (model.history,
-                               decide_mls_nets(model))
-        hist_v, nets_v = runs[True]
-        hist_r, nets_r = runs[False]
+        model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+        reference = train_gnn_mls_reference(dataset, SeedBundle(TEST_SEED),
+                                            config)
         for key in ("dgi", "finetune"):
-            np.testing.assert_allclose(hist_v[key], hist_r[key],
+            np.testing.assert_allclose(model.history[key],
+                                       reference.history[key],
                                        rtol=0, atol=1e-9)
-        assert nets_v == nets_r
+        assert decide_mls_nets(model) == \
+            decide_mls_nets_reference(reference)
 
     def test_same_seed_selects_identical_nets(self, trained_pair):
         dataset, config = trained_pair
@@ -220,25 +211,13 @@ class TestTrainerEquivalence:
         for key in ("dgi", "finetune"):
             assert picks[0][1][key] == picks[1][1][key]
 
-    def test_batch_size_one_is_the_reference_schedule(self, trained_pair):
-        """batch_size=1 ignores ``vectorized`` — both settings run the
-        exact historical per-graph loop, bit-identically."""
-        dataset, config = trained_pair
-        hists = []
-        for vectorized in (True, False):
-            cfg = dataclasses.replace(config, batch_size=1,
-                                      vectorized=vectorized)
-            model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), cfg)
-            hists.append(model.history)
-        for key in ("dgi", "finetune"):
-            assert hists[0][key] == hists[1][key]
-
     def test_batched_inference_matches_per_graph(self, trained_pair):
+        """Padded inference of one trained model equals the oracle's
+        per-graph forwards, net by net."""
         dataset, config = trained_pair
         model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
         batched = model.net_probabilities(dataset.graphs)
-        model.config = dataclasses.replace(config, batch_size=1)
-        reference = model.net_probabilities(dataset.graphs)
+        reference = net_probabilities_reference(model, dataset.graphs)
         assert batched.keys() == reference.keys()
         for name, p in reference.items():
             assert batched[name] == pytest.approx(p, abs=TOL)

@@ -118,18 +118,51 @@ def _submit_many(daemon: _Daemon, payloads: list[dict]) -> list[dict]:
     return responses
 
 
+def _flow_config(request: dict):
+    from repro.service.daemon import build_flow_config, decode_flow_request
+    return build_flow_config(decode_flow_request(request))
+
+
 class TestRequestParsing:
     def test_explicit_seed_zero_is_honored(self):
         """Regression: ``or``-defaulting silently replaced an explicit
         seed=0 with the default experiment seed."""
         from repro.harness.designs import DEFAULT_EXPERIMENT_SEED
-        from repro.service.daemon import build_flow_config
 
         assert DEFAULT_EXPERIMENT_SEED != 0
-        _, _, seeds = build_flow_config({"benchmark": BENCH, "seed": 0})
+        _, _, seeds = _flow_config({"benchmark": BENCH, "seed": 0})
         assert seeds.seed == 0
-        _, _, defaulted = build_flow_config({"benchmark": BENCH})
+        _, _, defaulted = _flow_config({"benchmark": BENCH})
         assert defaulted.seed == DEFAULT_EXPERIMENT_SEED
+
+    def test_defaults_are_filled_before_dedup(self):
+        """``{}`` and the same request spelled out with every default
+        decode to one dedup key; so do 1500 and 1500.0 MHz."""
+        from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,
+                                           get_benchmark)
+        from repro.service.daemon import decode_flow_request
+
+        freq = get_benchmark("maeri16_hetero").target_freq_mhz
+        implicit = decode_flow_request({})
+        explicit = decode_flow_request({
+            "benchmark": "maeri16_hetero", "selector": "gnn",
+            "seed": DEFAULT_EXPERIMENT_SEED, "with_scan": False,
+            "dft_strategy": None, "freq_mhz": int(freq), "workers": 1,
+            "save_report": True})
+        assert implicit == explicit
+        assert implicit.freq_mhz == freq
+        assert implicit.save_report is False
+
+    def test_decoded_request_builds_the_flow_config(self):
+        spec, config, _ = _flow_config(
+            {"benchmark": BENCH, "selector": "none", "freq_mhz": 900,
+             "with_scan": True, "dft_strategy": "wire-based",
+             "workers": 2})
+        assert spec.key == BENCH
+        assert config.selector == "none"
+        assert config.target_freq_mhz == 900.0
+        assert config.with_scan and config.dft_strategy == "wire-based"
+        assert config.parallel.workers == 2
 
 
 class TestProtocol:
@@ -160,6 +193,45 @@ class TestProtocol:
         assert not response["ok"]
         assert "no_such_benchmark" in response["error"]
         assert client.ping()["ok"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("with_scan", "false"),
+        ("save_report", 1),
+        ("freq_mhz", 0),
+        ("freq_mhz", -5.0),
+        ("freq_mhz", "1500"),
+        ("freq_mhz", float("inf")),
+        ("workers", 2.7),
+        ("workers", 0),
+        ("workers", "x"),
+        ("workers", True),
+        ("seed", True),
+        ("seed", 1.5),
+        ("selector", "magic"),
+        ("dft_strategy", "laser"),
+        ("benchmark", 7),
+    ])
+    def test_ill_typed_flow_field_is_a_typed_error(self, daemon, field,
+                                                   value):
+        """Every field is type- and range-checked before the request
+        is queued; the error names the field."""
+        client = daemon.client()
+        counters = _Counters()
+        request = {"op": "flow", "benchmark": BENCH, "selector": "none"}
+        request[field] = value
+        response = client.request(request)
+        assert not response["ok"]
+        assert response["error"].startswith("ServiceError(")
+        assert repr(field) in response["error"]
+        assert counters.delta("service.flow_computes") == 0
+        assert client.status()["inflight"] == 0
+        assert client.ping()["ok"]
+
+    def test_dft_strategy_without_scan_is_a_typed_error(self, daemon):
+        response = daemon.client().submit_flow(
+            benchmark=BENCH, selector="none", dft_strategy="wire-based")
+        assert not response["ok"]
+        assert "'dft_strategy'" in response["error"]
 
     @pytest.mark.parametrize("field", ["place_region_parallel",
                                        "place_solver", "route_batch",
@@ -221,6 +293,18 @@ class TestDedup:
         assert counters.delta("service.dedup_hits") == 0
         assert responses[0]["report_digest"] != \
             responses[1]["report_digest"]
+
+    def test_default_and_explicit_default_dedup_together(self, daemon):
+        from repro.harness.designs import DEFAULT_EXPERIMENT_SEED
+        counters = _Counters()
+        responses = _submit_many(daemon, [
+            dict(benchmark=BENCH, selector="none"),
+            dict(benchmark=BENCH, selector="none",
+                 seed=DEFAULT_EXPERIMENT_SEED),
+        ])
+        assert all(r["ok"] for r in responses)
+        assert counters.delta("service.flow_computes") == 1
+        assert counters.replays() == 1
 
     def test_warm_resubmission_replays_artifact(self, daemon):
         counters = _Counters()

@@ -167,8 +167,7 @@ class TestKeyDerivation:
     def test_parallel_config_never_changes_key(self, tech):
         base = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
         wide = dataclasses.replace(
-            BASE_CONFIG, parallel=ParallelConfig(workers=8,
-                                                 chunk_size=17))
+            BASE_CONFIG, parallel=ParallelConfig(workers=8))
         assert flow_key(_maeri_factory, tech, _seeds(),
                         wide).hexdigest == base.hexdigest
 

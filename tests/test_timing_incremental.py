@@ -216,7 +216,7 @@ class TestSingleCoreDegrade:
         monkeypatch.setattr(pcfg, "usable_cores", lambda: 1)
         monkeypatch.setattr(pcfg, "_DEGRADE_LOGGED", False)
         before = metrics.counter("pool.single_core_degrades")
-        cfg = ParallelConfig(workers=4, min_items=2)
+        cfg = ParallelConfig(workers=4)
         assert cfg.enabled
         assert not cfg.should_parallelize(1000)
         assert not cfg.should_parallelize(1000)
@@ -228,7 +228,7 @@ class TestSingleCoreDegrade:
     def test_multicore_unaffected(self, monkeypatch):
         import repro.parallel.config as pcfg
         monkeypatch.setattr(pcfg, "usable_cores", lambda: 8)
-        cfg = ParallelConfig(workers=4, min_items=2)
+        cfg = ParallelConfig(workers=4)
         assert cfg.should_parallelize(1000)
 
 

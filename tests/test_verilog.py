@@ -133,6 +133,39 @@ class TestParserErrors:
         with pytest.raises(NetlistError):
             read_verilog(path, LIB)
 
+    def test_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.v"
+        path.write_text("module m (a, y);\n  input a;\n  output y;\n"
+                        "  wire n1\n  INVX1 u0 (.A(a), .Y(n1));\n"
+                        "endmodule\n")
+        with pytest.raises(NetlistError) as exc:
+            read_verilog(path, LIB)
+        assert str(exc.value) == f"{path}:5: expected ';', got 'INVX1'"
+
+    def test_tokenizer_error_names_line(self, tmp_path):
+        path = tmp_path / "junk.v"
+        path.write_text("module m (a);\n\n  input @a;\nendmodule\n")
+        with pytest.raises(NetlistError, match=r"junk\.v:3: "):
+            read_verilog(path, LIB)
+
+    def test_block_comment_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "c.v"
+        path.write_text("/* one\n   two\n   three */ module m (a);\n"
+                        "  input a\nendmodule\n")
+        with pytest.raises(NetlistError, match=r"c\.v:5: expected ';'"):
+            read_verilog(path, LIB)
+
+    def test_unexpected_end_names_last_line(self, tmp_path):
+        path = tmp_path / "short.v"
+        path.write_text("module m (a);\n  input")
+        with pytest.raises(NetlistError,
+                           match=r"short\.v:2: unexpected end"):
+            read_verilog(path, LIB)
+
+    def test_missing_file_is_a_netlist_error(self, tmp_path):
+        with pytest.raises(NetlistError, match="missing"):
+            read_verilog(tmp_path / "missing.v", LIB)
+
     def test_unknown_region_rejected(self, hetero_tech, tmp_path):
         path = tmp_path / "bad_region.v"
         path.write_text(
