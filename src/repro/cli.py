@@ -110,8 +110,8 @@ def _positive_int(text: str) -> int:
 def _add_parallel(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes for the oracle "
-                             "selector and fault simulation "
-                             "(1 = serial; results are identical)")
+                             "selector (1 = serial; results are "
+                             "identical)")
 
 
 def _add_obs(parser: argparse.ArgumentParser,

@@ -73,9 +73,9 @@ class FlowConfig:
     gnn_refine_iters: int = 2
     pdn: bool = True
     activity: float = 0.15
-    #: Worker fan-out for the oracle selector's what-if probes and the
-    #: die-test fault simulation.  The default (workers=1) runs every
-    #: stage serially, bit-identical to the parallel paths.
+    #: Worker fan-out for the oracle selector's what-if probes.  The
+    #: default (workers=1) runs every stage serially, bit-identical to
+    #: the parallel path.
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
 
     def __post_init__(self) -> None:
@@ -416,8 +416,7 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
                 sim = die_test_fault_sim(design, seeds.fresh("die-test"),
                                          patterns=config.dft_patterns,
                                          with_dft=True,
-                                         max_faults=config.dft_max_faults,
-                                         parallel=config.parallel)
+                                         max_faults=config.dft_max_faults)
                 coverage = sim.coverage_pct
                 total = sim.total_faults
                 detected = sim.detected_total

@@ -1,4 +1,4 @@
-"""Bit-parallel random-pattern stuck-at fault simulation.
+"""Event-driven random-pattern stuck-at fault simulation.
 
 Simulates the full-scan combinational view: controllable sources are
 input ports, scan-flop Q pins and macro Q pins (memory BIST bypass);
@@ -6,33 +6,35 @@ observation points are output ports, flop D/SI pins and macro data
 pins, plus any caller-supplied extra observe nets (the MLS DFT
 strategies observe the driver side of each shared net).
 
-Three-valued logic uses (value, known) word pairs with pessimistic
-X-propagation: a gate output is known only when all its inputs are —
-exact for the XOR-heavy arithmetic that dominates our benchmarks,
-slightly pessimistic elsewhere.  ``cut_nets`` models the open
+Signals are three-valued and pattern-wide: each net carries a
+``(value, known)`` pair of Python ints with one bit per pattern, and
+gates evaluate exactly in dual rail (:mod:`repro.dft.logic3`), so a
+known MUX select masks an X data input.  ``cut_nets`` model the open
 connections MLS creates during individual-die test: their sinks read
 X in die-level test mode (Figure 3).
 
-Detection is cone-local: each fault re-simulates only its downstream
-cone, comparing at reachable observation points — the standard
-single-fault propagation optimization that keeps simulator-scale
-designs tractable in pure Python.
+The view is compiled once per call: integer net ids, the
+combinational gates by topological position with their input and
+output ids, and per-net fanout positions.  Each fault is then
+simulated event by event: inject it at its site, evaluate (in
+topological order, off a heap) only gates with a changed input, stop
+at cut nets, and stop at the first observation net where the faulty
+and good machines differ on a pattern both know.
 """
 
 from __future__ import annotations
 
+import heapq
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import DFTError
-from repro.netlist.cell import Instance
 from repro.netlist.netlist import Netlist
 from repro.dft.faults import Fault, FaultUniverse, SA1
 from repro.dft.logic3 import eval_gate
-from repro.parallel import ParallelConfig, snapshot_map
-
-_ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+from repro.obs import metrics
 
 
 @dataclass
@@ -67,185 +69,182 @@ class FaultSimResult:
 
 
 class _ScanView:
-    """Levelized combinational view with (value, known) words."""
+    """The combinational scan view compiled to integer ids.
 
-    def __init__(self, netlist: Netlist, words: int,
-                 rng: np.random.Generator,
-                 cut_nets: set[str],
-                 pinned_ports: dict[str, int],
-                 extra_observe: set[str]):
+    Net ``i`` has good-machine ints ``value[i]``/``known[i]``; nets the
+    view never drives stay X (0, 0).  Gate ``pos`` (topological
+    position) reads ``ins[pos]`` and drives ``outs[pos]``.  A sink on a
+    cut net or on no net reads the extra, always-X id ``len(nets)``, so
+    cut nets have no fanout and stop propagation by construction.
+    """
+
+    def __init__(self, netlist: Netlist, patterns: int,
+                 cut_nets: set[str], extra_observe: set[str]):
         self.netlist = netlist
-        self.words = words
         self.cut_nets = cut_nets
-        self.order = netlist.topological_order()
-        self.value: dict[str, np.ndarray] = {}
-        self.known: dict[str, np.ndarray] = {}
+        self.words = patterns // 64
+        self.mask = (1 << patterns) - 1
+        self.net_id = {name: i for i, name in enumerate(netlist.nets)}
+        x_id = len(self.net_id)
+        self.value = [0] * (x_id + 1)
+        self.known = [0] * (x_id + 1)
 
-        # Controllable sources get independent random words.
+        def read_id(net) -> int:
+            if net is None or net.name in cut_nets:
+                return x_id
+            return self.net_id[net.name]
+
+        self.gate_pos: dict[str, int] = {}
+        self.cells = []
+        self.ins: list[tuple[int, ...]] = []
+        self.outs: list[int] = []
+        fanout: list[list[int]] = [[] for _ in range(x_id + 1)]
+        for inst in netlist.topological_order():
+            out_net = inst.output_pin.net
+            if out_net is None:
+                continue
+            pos = len(self.outs)
+            self.gate_pos[inst.name] = pos
+            self.cells.append(inst.cell)
+            ins = tuple(read_id(pin.net) for pin in inst.input_pins())
+            self.ins.append(ins)
+            self.outs.append(self.net_id[out_net.name])
+            for net_id in set(ins):
+                fanout[net_id].append(pos)
+        # Positions were appended in ascending order: each list is
+        # already a valid heap.
+        self.fanout = [tuple(f) for f in fanout]
+
+        observe = set(extra_observe)
+        for port in netlist.ports.values():
+            if port.direction == "out" and port.pin.net is not None:
+                observe.add(port.pin.net.name)
+        for inst in netlist.sequential_instances():
+            for pin in inst.input_pins():
+                if pin.name == "SE":
+                    continue
+                if pin.net is not None and pin.net.name not in cut_nets:
+                    observe.add(pin.net.name)
+        self.observed = frozenset(self.net_id[name] for name in observe
+                                  if name in self.net_id)
+
+    # -- good machine --------------------------------------------------------
+
+    def simulate_good(self, rng: np.random.Generator,
+                      pinned_ports: dict[str, int]) -> None:
+        """Random source values, then every gate in topological order.
+
+        Draws one random word per 64 patterns for each unpinned input
+        port, then each sequential output, in netlist order.
+        """
+        mask, words = self.mask, self.words
+        value, known = self.value, self.known
+        netlist = self.netlist
         for port in netlist.ports.values():
             net = port.pin.net
             if net is None or net.is_clock or port.direction != "in":
                 continue
+            i = self.net_id[net.name]
             if port.name in pinned_ports:
-                word = _ALL if pinned_ports[port.name] else np.uint64(0)
-                self.value[net.name] = np.full(words, word, dtype=np.uint64)
+                value[i] = mask if pinned_ports[port.name] else 0
             else:
-                self.value[net.name] = _rand_words(rng, words)
-            self.known[net.name] = np.full(words, _ALL, dtype=np.uint64)
+                value[i] = _rand_int(rng, words)
+            known[i] = mask
         for inst in netlist.sequential_instances():
             net = inst.output_pin.net
             if net is None:
                 continue
-            self.value[net.name] = _rand_words(rng, words)
-            self.known[net.name] = np.full(words, _ALL, dtype=np.uint64)
+            i = self.net_id[net.name]
+            value[i] = _rand_int(rng, words)
+            known[i] = mask
+        for cell, ins, out in zip(self.cells, self.ins, self.outs):
+            value[out], known[out] = eval_gate(
+                cell, [value[i] for i in ins], [known[i] for i in ins],
+                mask)
 
-        self.observe_nets = self._observation_nets(extra_observe)
-        self._evaluate_all()
+    # -- faulty machine ------------------------------------------------------
 
-    # -- good simulation -------------------------------------------------------
-
-    def _evaluate_all(self) -> None:
-        zero = np.zeros(self.words, dtype=np.uint64)
-        for inst in self.order:
-            out_net = inst.output_pin.net
-            if out_net is None:
-                continue
-            ins_v, ins_k = [], []
-            for pin in inst.input_pins():
-                v, k = self._pin_words(pin, zero)
-                ins_v.append(v)
-                ins_k.append(k)
-            value, known = eval_gate(inst.cell, ins_v, ins_k)
-            self.value[out_net.name] = value
-            self.known[out_net.name] = known
-
-    def _pin_words(self, pin, zero):
-        """(value, known) seen AT a sink pin, honouring cut nets."""
-        net = pin.net
+    def detects(self, fault: Fault) -> tuple[bool, int]:
+        """(detected, gates evaluated) for one fault."""
+        net, inst, pin_name = _fault_site(self.netlist, fault.site)
         if net is None:
-            return zero, zero
-        if net.name in self.cut_nets:
-            return zero, zero          # open connection: X
-        v = self.value.get(net.name)
-        k = self.known.get(net.name)
-        if v is None:
-            return zero, zero          # undriven in scan view
-        return v, k
+            return False, 0
+        mask = self.mask
+        stuck = mask if fault.stuck == SA1 else 0
+        value, known = self.value, self.known
 
-    def _observation_nets(self, extra: set[str]) -> list[str]:
-        obs: set[str] = set(extra)
-        for port in self.netlist.ports.values():
-            if port.direction == "out" and port.pin.net is not None:
-                obs.add(port.pin.net.name)
-        for inst in self.netlist.instances.values():
-            if not inst.is_sequential:
+        if fault.kind == "boundary":
+            # Macro-input / output-port fault: detected iff the net is
+            # observable there (it is an obs point by construction) and
+            # a known good value differs from the stuck value.
+            if net.name in self.cut_nets:
+                return False, 0
+            i = self.net_id[net.name]
+            return bool((value[i] ^ stuck) & known[i]), 0
+        if fault.kind == "out":
+            return self._propagate(self.net_id[net.name], stuck, mask)
+
+        # Input fault: evaluate the owning gate with the pin forced.
+        pos = self.gate_pos.get(inst.name)
+        if pos is None:
+            return False, 0
+        slot = inst.cell.inputs.index(pin_name)
+        ins = self.ins[pos]
+        ins_v = [value[i] for i in ins]
+        ins_k = [known[i] for i in ins]
+        ins_v[slot], ins_k[slot] = stuck, mask
+        site_v, site_k = eval_gate(self.cells[pos], ins_v, ins_k, mask)
+        detected, evals = self._propagate(self.outs[pos], site_v, site_k)
+        return detected, evals + 1
+
+    def _propagate(self, site: int, site_v: int, site_k: int
+                   ) -> tuple[bool, int]:
+        """(detected, gates evaluated) with net *site* forced to
+        (site_v, site_k); faulty values live in fault-local dicts."""
+        value, known = self.value, self.known
+        if site_v == value[site] and site_k == known[site]:
+            return False, 0
+        if site in self.observed \
+                and (value[site] ^ site_v) & known[site] & site_k:
+            return True, 0
+        mask, observed = self.mask, self.observed
+        cells, ins_of, outs, fanout = \
+            self.cells, self.ins, self.outs, self.fanout
+        faulty_v = {site: site_v}
+        faulty_k = {site: site_k}
+        heap = list(fanout[site])
+        queued = set(heap)
+        evals = 0
+        while heap:
+            pos = heapq.heappop(heap)
+            ins = ins_of[pos]
+            new_v, new_k = eval_gate(
+                cells[pos],
+                [faulty_v[i] if i in faulty_v else value[i] for i in ins],
+                [faulty_k[i] if i in faulty_k else known[i] for i in ins],
+                mask)
+            evals += 1
+            out = outs[pos]
+            good_v, good_k = value[out], known[out]
+            if new_v == good_v and new_k == good_k:
                 continue
-            for pin in inst.input_pins():
-                if pin.name == "SE":
-                    continue
-                if pin.net is not None and pin.net.name not in self.cut_nets:
-                    obs.add(pin.net.name)
-        return sorted(obs)
-
-    # -- cone machinery ---------------------------------------------------------
-
-    def downstream_cone(self, net_name: str) -> list[Instance]:
-        """Combinational instances reachable from *net_name*, in
-        topological order (cut nets block propagation)."""
-        net = self.netlist.nets.get(net_name)
-        if net is None:
-            raise DFTError(f"unknown net {net_name}")
-        hit: set[str] = set()
-        frontier = [net]
-        while frontier:
-            cur = frontier.pop()
-            if cur.name in self.cut_nets:
-                continue
-            for sink in cur.sinks:
-                owner = sink.owner
-                if owner is None or owner.is_sequential:
-                    continue
-                if sink.name == "SE" or sink is owner.clock_pin:
-                    continue
-                if owner.name in hit:
-                    continue
-                hit.add(owner.name)
-                out = owner.output_pin.net
-                if out is not None:
-                    frontier.append(out)
-        return [inst for inst in self.order if inst.name in hit]
+            if out in observed and (good_v ^ new_v) & good_k & new_k:
+                return True, evals
+            faulty_v[out] = new_v
+            faulty_k[out] = new_k
+            for nxt in fanout[out]:
+                if nxt not in queued:
+                    queued.add(nxt)
+                    heapq.heappush(heap, nxt)
+        return False, evals
 
 
-def _rand_words(rng: np.random.Generator, words: int) -> np.ndarray:
-    return rng.integers(0, 2 ** 63, size=words, dtype=np.uint64) \
+def _rand_int(rng: np.random.Generator, words: int) -> int:
+    """*words* random 64-bit words packed little-endian into one int
+    (word ``w`` holds patterns ``64w .. 64w+63``)."""
+    arr = rng.integers(0, 2 ** 63, size=words, dtype=np.uint64) \
         ^ (rng.integers(0, 2, size=words, dtype=np.uint64) << np.uint64(63))
-
-
-def _detect_chunk(state, indices: list[int]) -> list[bool]:
-    """Worker: detect one chunk of faults against the snapshot view.
-
-    Per-fault detection only reads the good-machine view (faulty
-    values live in fault-local dicts), so any fault partition merges
-    back to exactly the serial detection set.
-    """
-    netlist, view, faults = state
-    zero = np.zeros(view.words, dtype=np.uint64)
-    obs_set = set(view.observe_nets)
-    return [_detect_one(netlist, view, faults[i], obs_set, zero)
-            for i in indices]
-
-
-def simulate_faults(netlist: Netlist, universe: FaultUniverse,
-                    rng: np.random.Generator,
-                    patterns: int = 192,
-                    cut_nets: set[str] | None = None,
-                    pinned_ports: dict[str, int] | None = None,
-                    extra_observe: set[str] | None = None,
-                    max_faults: int | None = None,
-                    parallel: ParallelConfig | None = None
-                    ) -> FaultSimResult:
-    """Simulate the collapsed universe under *patterns* random vectors.
-
-    ``max_faults`` caps the simulated set by deterministic stride
-    sampling (fault-sampled coverage, the standard practice for large
-    designs); reported coverage then extrapolates from the sample.
-
-    With a multi-worker *parallel* config the fault list is chunked
-    over a process pool.  The scan view (and hence every *rng* draw)
-    is still built in this process, so the caller's generator advances
-    exactly as in a serial run and results are bit-identical.
-    """
-    if patterns < 64 or patterns % 64:
-        raise DFTError("patterns must be a positive multiple of 64")
-    words = patterns // 64
-    view = _ScanView(netlist, words, rng,
-                     cut_nets=set(cut_nets or ()),
-                     pinned_ports=dict(pinned_ports or {}),
-                     extra_observe=set(extra_observe or ()))
-
-    faults = list(universe)
-    if max_faults is not None and len(faults) > max_faults:
-        stride = -(-len(faults) // max_faults)     # ceil division
-        faults = faults[::stride]
-
-    if parallel is not None and parallel.should_parallelize(len(faults)):
-        hits = snapshot_map(_detect_chunk, range(len(faults)),
-                            snapshot=(netlist, view, faults),
-                            config=parallel)
-        detected = sum(1 for hit in hits if hit)
-    else:
-        detected = 0
-        zero = np.zeros(words, dtype=np.uint64)
-        obs_set = set(view.observe_nets)
-        for fault in faults:
-            if _detect_one(netlist, view, fault, obs_set, zero):
-                detected += 1
-    return FaultSimResult(
-        total_faults=universe.total,
-        simulated_faults=len(faults),
-        detected_collapsed=detected,
-        patterns=patterns,
-    )
+    return int.from_bytes(arr.astype("<u8").tobytes(), "little")
 
 
 def _fault_site(netlist: Netlist, site: str):
@@ -258,97 +257,61 @@ def _fault_site(netlist: Netlist, site: str):
     return inst.pins[pin_name].net, inst, pin_name
 
 
-def _detect_one(netlist: Netlist, view: _ScanView, fault: Fault,
-                obs_set: set[str], zero: np.ndarray) -> bool:
-    net, inst, pin_name = _fault_site(netlist, fault.site)
-    if net is None:
-        return False
-    stuck_word = _ALL if fault.stuck == SA1 else np.uint64(0)
+def detect_faults(netlist: Netlist, faults: list[Fault],
+                  rng: np.random.Generator,
+                  patterns: int = 192,
+                  cut_nets: set[str] | None = None,
+                  pinned_ports: dict[str, int] | None = None,
+                  extra_observe: set[str] | None = None) -> list[bool]:
+    """Per-fault detection flags of *faults* under *patterns* random
+    vectors drawn from *rng*."""
+    if patterns < 64 or patterns % 64:
+        raise DFTError("patterns must be a positive multiple of 64")
+    t0 = time.perf_counter()
+    view = _ScanView(netlist, patterns, set(cut_nets or ()),
+                     set(extra_observe or ()))
+    t1 = time.perf_counter()
+    view.simulate_good(rng, dict(pinned_ports or {}))
+    t2 = time.perf_counter()
+    hits = []
+    evals = 0
+    for fault in faults:
+        hit, n = view.detects(fault)
+        hits.append(hit)
+        evals += n
+    t3 = time.perf_counter()
+    metrics.add_time("dft.fsim.compile_s", t1 - t0)
+    metrics.add_time("dft.fsim.view_s", t2 - t1)
+    metrics.add_time("dft.fsim.detect_s", t3 - t2)
+    metrics.inc("dft.fsim.faults", len(faults))
+    metrics.inc("dft.fsim.gate_evals", evals)
+    return hits
 
-    if fault.kind == "boundary":
-        # Macro-input / output-port fault: detected iff the net is
-        # observable there (it is an obs point by construction) and a
-        # known good value differs from the stuck value.
-        if net.name in view.cut_nets:
-            return False
-        good_v = view.value.get(net.name)
-        good_k = view.known.get(net.name)
-        if good_v is None:
-            return False
-        diff = (good_v ^ np.full_like(good_v, stuck_word)) & good_k
-        return bool(diff.any())
 
-    # Faulty value injected on the net (output fault) or privately at
-    # one gate input (input fault), then cone-resimulated.
-    faulty_v = dict()
-    faulty_k = dict()
+def simulate_faults(netlist: Netlist, universe: FaultUniverse,
+                    rng: np.random.Generator,
+                    patterns: int = 192,
+                    cut_nets: set[str] | None = None,
+                    pinned_ports: dict[str, int] | None = None,
+                    extra_observe: set[str] | None = None,
+                    max_faults: int | None = None
+                    ) -> FaultSimResult:
+    """Simulate the collapsed universe under *patterns* random vectors.
 
-    def read(pin, values, knowns):
-        n = pin.net
-        if n is None or n.name in view.cut_nets:
-            return zero, zero
-        v = values.get(n.name, view.value.get(n.name))
-        k = knowns.get(n.name, view.known.get(n.name))
-        if v is None:
-            return zero, zero
-        return v, k
-
-    if fault.kind == "out":
-        faulty_v[net.name] = np.full(view.words, stuck_word, dtype=np.uint64)
-        faulty_k[net.name] = np.full(view.words, _ALL, dtype=np.uint64)
-        cone = view.downstream_cone(net.name)
-        dirty = {net.name}
-    else:
-        # Input fault: re-evaluate the owning gate with the pin forced.
-        assert inst is not None
-        out_net = inst.output_pin.net
-        if out_net is None or inst.is_sequential:
-            return False
-        ins_v, ins_k = [], []
-        for pin in inst.input_pins():
-            v, k = read(pin, faulty_v, faulty_k)
-            if pin.name == pin_name:
-                v = np.full(view.words, stuck_word, dtype=np.uint64)
-                k = np.full(view.words, _ALL, dtype=np.uint64)
-            ins_v.append(v)
-            ins_k.append(k)
-        value, known = eval_gate(inst.cell, ins_v, ins_k)
-        faulty_v[out_net.name] = value
-        faulty_k[out_net.name] = known
-        cone = view.downstream_cone(out_net.name)
-        dirty = {out_net.name}
-
-    for gate in cone:
-        if not any(p.net is not None and p.net.name in dirty
-                   for p in gate.input_pins()):
-            continue
-        out_net2 = gate.output_pin.net
-        if out_net2 is None:
-            continue
-        ins_v, ins_k = [], []
-        for pin in gate.input_pins():
-            v, k = read(pin, faulty_v, faulty_k)
-            ins_v.append(v)
-            ins_k.append(k)
-        new_v, known = eval_gate(gate.cell, ins_v, ins_k)
-        old_v = view.value.get(out_net2.name)
-        old_k = view.known.get(out_net2.name)
-        if old_v is not None and np.array_equal(new_v, old_v) \
-                and np.array_equal(known, old_k):
-            continue
-        faulty_v[out_net2.name] = new_v
-        faulty_k[out_net2.name] = known
-        dirty.add(out_net2.name)
-
-    for net_name in dirty:
-        if net_name not in obs_set:
-            continue
-        good_v = view.value.get(net_name)
-        good_k = view.known.get(net_name)
-        if good_v is None:
-            continue
-        both_known = good_k & faulty_k[net_name]
-        diff = (good_v ^ faulty_v[net_name]) & both_known
-        if diff.any():
-            return True
-    return False
+    ``max_faults`` caps the simulated set by deterministic stride
+    sampling (fault-sampled coverage, the standard practice for large
+    designs); reported coverage then extrapolates from the sample.
+    """
+    faults = list(universe)
+    if max_faults is not None and len(faults) > max_faults:
+        stride = -(-len(faults) // max_faults)     # ceil division
+        faults = faults[::stride]
+    hits = detect_faults(netlist, faults, rng, patterns=patterns,
+                         cut_nets=cut_nets, pinned_ports=pinned_ports,
+                         extra_observe=extra_observe)
+    return FaultSimResult(
+        total_faults=universe.total,
+        simulated_faults=len(faults),
+        detected_collapsed=sum(hits),
+        patterns=patterns,
+    )

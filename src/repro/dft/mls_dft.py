@@ -29,7 +29,6 @@ import numpy as np
 from repro.design import Design
 from repro.errors import DFTError
 from repro.netlist.net import Net
-from repro.parallel import ParallelConfig
 from repro.route.router import GlobalRouter, RoutingResult
 from repro.dft.faults import build_fault_universe
 from repro.dft.fault_sim import FaultSimResult, simulate_faults
@@ -205,41 +204,41 @@ def apply_wire_based_dft(design: Design, router: GlobalRouter,
     return apply_mls_dft(design, router, result, WIRE_BASED, clock_name)
 
 
-def die_test_fault_sim(design: Design, rng: np.random.Generator,
-                       patterns: int = 192,
-                       with_dft: bool = True,
-                       max_faults: int | None = None,
-                       parallel: ParallelConfig | None = None
-                       ) -> FaultSimResult:
-    """Fault-simulate the individual-die test of *design*.
+def die_test_conditions(design: Design, with_dft: bool = True) -> dict:
+    """Fault-simulation keyword arguments of the individual-die test.
 
     MLS nets are open (cut); with DFT inserted, test_mode pins to 1
     and the driver side of every MLS net is observed through the
-    repair; without, the opens simply eat coverage (the Figure 3
-    motivation).
+    repair; without, the opens simply eat coverage.
     """
     netlist = design.netlist
     mls = {n.name for n in _mls_nets(design)}
-    universe = build_fault_universe(netlist)
     pinned = {"test_mode": 1} if with_dft and "test_mode" in netlist.ports \
         else {}
-    extra = mls if with_dft else set()
-    return simulate_faults(netlist, universe, rng, patterns=patterns,
-                           cut_nets=mls, pinned_ports=pinned,
-                           extra_observe=extra, max_faults=max_faults,
-                           parallel=parallel)
+    return {"cut_nets": mls, "pinned_ports": pinned,
+            "extra_observe": mls if with_dft else set()}
+
+
+def die_test_fault_sim(design: Design, rng: np.random.Generator,
+                       patterns: int = 192,
+                       with_dft: bool = True,
+                       max_faults: int | None = None
+                       ) -> FaultSimResult:
+    """Fault-simulate the individual-die test of *design* under
+    :func:`die_test_conditions`; ``with_dft=False`` is the Figure 3
+    motivation."""
+    universe = build_fault_universe(design.netlist)
+    return simulate_faults(design.netlist, universe, rng, patterns=patterns,
+                           max_faults=max_faults,
+                           **die_test_conditions(design, with_dft))
 
 
 def untestable_fault_fraction(design: Design, rng: np.random.Generator,
-                              patterns: int = 192,
-                              parallel: ParallelConfig | None = None
-                              ) -> float:
+                              patterns: int = 192) -> float:
     """Coverage loss (percentage points) caused by MLS opens with no
     DFT, versus the same design with its MLS nets intact."""
     netlist = design.netlist
     universe = build_fault_universe(netlist)
-    base = simulate_faults(netlist, universe, rng, patterns=patterns,
-                           parallel=parallel)
-    cut = die_test_fault_sim(design, rng, patterns=patterns, with_dft=False,
-                             parallel=parallel)
+    base = simulate_faults(netlist, universe, rng, patterns=patterns)
+    cut = die_test_fault_sim(design, rng, patterns=patterns, with_dft=False)
     return base.coverage_pct - cut.coverage_pct

@@ -13,19 +13,14 @@ calibrated against exact simulation on small designs in the tests).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
-import math
-
-import numpy as np
-
 from repro.errors import DFTError
-from repro.netlist.cell import Instance
 from repro.netlist.netlist import Netlist
+from repro.dft.logic3 import truth_table
 
 _INF = float("inf")
-_ONE = np.uint64(1)
 
 
 @dataclass
@@ -46,18 +41,6 @@ class ScoapResult:
         """Nets whose testability score exceeds *threshold*."""
         return sorted(n for n in self.co
                       if self.testability(n) > threshold)
-
-
-def _truth_table(inst: Instance) -> list[tuple[tuple[int, ...], int]]:
-    """Enumerate (inputs, output) rows of a combinational cell."""
-    k = inst.cell.num_inputs
-    rows = []
-    for bits in itertools.product((0, 1), repeat=k):
-        words = [np.uint64(0xFFFFFFFFFFFFFFFF) if b else np.uint64(0)
-                 for b in bits]
-        out = int(inst.cell.evaluate(*words) & _ONE)
-        rows.append((bits, out))
-    return rows
 
 
 def compute_scoap(netlist: Netlist,
@@ -83,7 +66,6 @@ def compute_scoap(netlist: Netlist,
             cc0[net.name] = cc1[net.name] = 1.0
 
     order = netlist.topological_order()
-    tables: dict[str, list] = {}
     for inst in order:
         out_net = inst.output_pin.net
         if out_net is None:
@@ -95,7 +77,7 @@ def compute_scoap(netlist: Netlist,
                 in_cc.append((_INF, _INF))
             else:
                 in_cc.append((cc0.get(n.name, _INF), cc1.get(n.name, _INF)))
-        table = tables.setdefault(inst.cell.name, _truth_table(inst))
+        table = truth_table(inst.cell)
         best = {0: _INF, 1: _INF}
         for bits, out in table:
             cost = 1.0
@@ -123,9 +105,7 @@ def compute_scoap(netlist: Netlist,
         if out_net is None or out_net.name in cut:
             continue
         out_co = co.get(out_net.name, _INF)
-        table = tables.get(inst.cell.name)
-        if table is None:
-            continue
+        table = truth_table(inst.cell)
         in_nets = [p.net for p in inst.input_pins()]
         in_cc = []
         for n in in_nets:

@@ -2,10 +2,9 @@
 
 The paper calls exhaustive per-net what-if STA "computationally
 prohibitive"; our reproduction makes one probe cheap, but the flow
-still runs thousands of them.  This package fans the two loops that
-pay for it — the oracle selector's what-if probes and the die-test
-fault simulation — out over worker processes against a *shared
-pickled snapshot* of the design state:
+still runs thousands of them.  This package fans the loop that pays
+for it — the oracle selector's what-if probes — out over worker
+processes against a *shared pickled snapshot* of the design state:
 
 * :class:`~repro.parallel.config.ParallelConfig` — the one knob,
   ``workers``;

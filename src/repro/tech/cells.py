@@ -4,8 +4,10 @@ Each :class:`CellType` carries:
 
 * electrical data — intrinsic delay, output drive resistance, per-input
   pin capacitance, leakage, per-toggle internal energy, area;
-* a *logic function* operating on ``numpy.uint64`` words, so the DFT
-  fault simulator can evaluate 64 test patterns per word in parallel;
+* a *logic function* built from ``&``, ``|``, ``^`` and ``~`` only, so
+  it evaluates bit-parallel on ``numpy.uint64`` words and on Python
+  ints alike (the DFT fault simulator packs one test pattern per bit
+  of an int and masks the result to its pattern width);
 * structural flags (sequential / macro / level-shifter / scannable).
 
 The delay model is the classic linear approximation
@@ -25,15 +27,15 @@ import numpy as np
 
 from repro.errors import TechError
 
-#: Bit-parallel logic function: receives one uint64 ndarray per input
-#: pin (in declared order) and returns the output word array.
+#: Bit-parallel logic function: receives one word per input pin (in
+#: declared order) and returns the output word.  Complements use ``~``,
+#: so int callers get infinite-precision ones above their pattern
+#: width and must mask.
 LogicFn = Callable[..., np.ndarray]
-
-_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 def _inv(a):
-    return a ^ _ALL_ONES
+    return ~a
 
 
 def _buf(a):
@@ -41,11 +43,11 @@ def _buf(a):
 
 
 def _nand2(a, b):
-    return (a & b) ^ _ALL_ONES
+    return ~(a & b)
 
 
 def _nor2(a, b):
-    return (a | b) ^ _ALL_ONES
+    return ~(a | b)
 
 
 def _and2(a, b):
@@ -61,20 +63,20 @@ def _xor2(a, b):
 
 
 def _xnor2(a, b):
-    return (a ^ b) ^ _ALL_ONES
+    return ~(a ^ b)
 
 
 def _aoi21(a, b, c):
-    return ((a & b) | c) ^ _ALL_ONES
+    return ~((a & b) | c)
 
 
 def _oai21(a, b, c):
-    return ((a | b) & c) ^ _ALL_ONES
+    return ~((a | b) & c)
 
 
 def _mux2(a, b, s):
     """Output = a when s=0, b when s=1."""
-    return (a & (s ^ _ALL_ONES)) | (b & s)
+    return (a & ~s) | (b & s)
 
 
 def _and3(a, b, c):
@@ -93,10 +95,6 @@ def _maj3(a, b, c):
 def _xor3(a, b, c):
     """Three-input parity — the sum function of a full adder."""
     return a ^ b ^ c
-
-
-def _const0():
-    return np.uint64(0)
 
 
 @dataclass(frozen=True)

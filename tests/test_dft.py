@@ -141,42 +141,63 @@ class TestFaultSim:
         assert a.detected_collapsed == b.detected_collapsed
 
 
+#: Two 64-pattern words' worth of patterns, as one int.
+_MASK = (1 << 128) - 1
+
+
 class TestLogic3:
     def test_exact_x_through_mux(self, hetero_tech):
         """A MUX with a known select must resolve despite an X input."""
         from repro.dft.logic3 import eval_gate
         lib = hetero_tech.libraries["logic"]
         mux = lib.get("MUX2")
-        ones = np.array([np.uint64(0xFFFFFFFFFFFFFFFF)])
-        zeros = np.array([np.uint64(0)])
         # A unknown, B known-1, S known-1 (select B).
-        value, known = eval_gate(
-            mux,
-            [zeros, ones, ones],
-            [zeros, ones, ones],
-        )
-        assert int(known[0]) == 0xFFFFFFFFFFFFFFFF
-        assert int(value[0]) == 0xFFFFFFFFFFFFFFFF
+        value, known = eval_gate(mux, [0, _MASK, _MASK], [0, _MASK, _MASK],
+                                 _MASK)
+        assert known == _MASK
+        assert value == _MASK
 
     def test_and_with_controlling_zero(self, hetero_tech):
         from repro.dft.logic3 import eval_gate
         lib = hetero_tech.libraries["logic"]
         and2 = lib.get("AND2")
-        ones = np.array([np.uint64(0xFFFFFFFFFFFFFFFF)])
-        zeros = np.array([np.uint64(0)])
         # A = known 0 (controlling), B = X -> out known 0.
-        value, known = eval_gate(and2, [zeros, zeros], [ones, zeros])
-        assert int(known[0]) == 0xFFFFFFFFFFFFFFFF
-        assert int(value[0]) == 0
+        value, known = eval_gate(and2, [0, 0], [_MASK, 0], _MASK)
+        assert known == _MASK
+        assert value == 0
 
     def test_xor_with_x_stays_x(self, hetero_tech):
         from repro.dft.logic3 import eval_gate
         lib = hetero_tech.libraries["logic"]
         xor2 = lib.get("XOR2")
-        ones = np.array([np.uint64(0xFFFFFFFFFFFFFFFF)])
-        zeros = np.array([np.uint64(0)])
-        _, known = eval_gate(xor2, [ones, zeros], [ones, zeros])
-        assert int(known[0]) == 0
+        _, known = eval_gate(xor2, [_MASK, 0], [_MASK, 0], _MASK)
+        assert known == 0
+
+    def test_outputs_stay_within_mask(self, hetero_tech):
+        """Complements in the cell logic must not leak bits above the
+        pattern width, on the all-known and the dual-rail path."""
+        from repro.dft.logic3 import eval_gate
+        lib = hetero_tech.libraries["logic"]
+        for name in ("INV", "NAND2", "NOR2", "XNOR2", "AOI21", "OAI21"):
+            cell = lib.get(name)
+            n = cell.num_inputs
+            for known_in in (_MASK, _MASK >> 1):
+                value, known = eval_gate(cell, [0] * n, [known_in] * n,
+                                         _MASK)
+                assert 0 <= value <= _MASK and 0 <= known <= _MASK
+                assert value & ~known == 0
+
+    @pytest.mark.parametrize("patterns", [64, 256])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_zero_input_cell_is_known_constant(self, level, patterns):
+        """A cell without inputs drives its constant on every pattern,
+        at any pattern width."""
+        from repro.dft.logic3 import eval_gate
+        from repro.tech.cells import CellType
+        tie = CellType(f"TIE{level}", (), "Y", 1.0, 1000.0, 0.0, 0.0, 0.0,
+                       0.1, (lambda: ~0) if level else (lambda: 0))
+        mask = (1 << patterns) - 1
+        assert eval_gate(tie, [], [], mask) == (mask if level else 0, mask)
 
 
 @pytest.fixture()

@@ -1,9 +1,8 @@
 """Equivalence suite for the process-pool engine.
 
-The contract under test: every parallelized hot loop — the what-if
-oracle and the die-test fault simulation — returns
-results *identical* to its serial twin under the same seeds, for any
-worker count.  Plus unit coverage
+The contract under test: the parallelized hot loop — the what-if
+oracle — returns results *identical* to its serial twin under the
+same seeds, for any worker count.  Plus unit coverage
 of the pool plumbing itself and the prepare-design memo cache.
 """
 
@@ -17,9 +16,6 @@ import pytest
 from repro import FlowConfig, run_flow
 from repro.core.flow import (clear_prepare_cache, prepare_design,
                              prepare_design_cached)
-from repro.dft.fault_sim import simulate_faults
-from repro.dft.faults import build_fault_universe
-from repro.dft.mls_dft import die_test_fault_sim, untestable_fault_fraction
 from repro.mls import route_with_mls
 from repro.mls.oracle import candidate_nets, oracle_labels, oracle_select
 from repro.netlist.generators import MaeriConfig, generate_maeri
@@ -27,7 +23,7 @@ from repro.parallel import (ParallelConfig, chunked, dumps_snapshot,
                             loads_snapshot, snapshot_map)
 from repro.parallel.config import MIN_ITEMS, WAVES
 from repro.route import GlobalRouter
-from repro.rng import SeedBundle, stream
+from repro.rng import SeedBundle
 from repro.timing import run_sta
 
 from tests.conftest import TEST_SEED, build_small_design
@@ -50,17 +46,6 @@ def probe_setup(hetero_tech):
     router = GlobalRouter(design)
     routing = router.route_all()
     return design, router, routing
-
-
-@pytest.fixture(scope="module")
-def mls_design(hetero_tech):
-    """A design routed with the oracle's MLS set committed."""
-    design = build_small_design(hetero_tech, routed=False)
-    router = GlobalRouter(design)
-    routing = router.route_all()
-    picked = oracle_select(design, router, routing)
-    route_with_mls(design, picked)
-    return design
 
 
 # -- pool plumbing -----------------------------------------------------------
@@ -232,49 +217,6 @@ class TestOracleEquivalence:
         assert serial == spawned
 
 
-class TestFaultSimEquivalence:
-    def test_simulate_faults_identical(self, probe_setup):
-        design, _router, _routing = probe_setup
-        netlist = design.netlist
-        universe = build_fault_universe(netlist)
-        serial = simulate_faults(netlist, universe,
-                                 stream("fsim", TEST_SEED), patterns=64)
-        fanout = simulate_faults(netlist, universe,
-                                 stream("fsim", TEST_SEED), patterns=64,
-                                 parallel=POOL4)
-        assert serial == fanout
-
-    def test_max_faults_sampling_identical(self, probe_setup):
-        design, _router, _routing = probe_setup
-        netlist = design.netlist
-        universe = build_fault_universe(netlist)
-        serial = simulate_faults(netlist, universe,
-                                 stream("fsamp", TEST_SEED), patterns=64,
-                                 max_faults=1500)
-        fanout = simulate_faults(netlist, universe,
-                                 stream("fsamp", TEST_SEED), patterns=64,
-                                 max_faults=1500, parallel=POOL4)
-        assert serial == fanout
-
-    def test_die_test_identical(self, mls_design):
-        serial = die_test_fault_sim(mls_design, stream("die", TEST_SEED),
-                                    patterns=64, with_dft=False)
-        fanout = die_test_fault_sim(mls_design, stream("die", TEST_SEED),
-                                    patterns=64, with_dft=False,
-                                    parallel=POOL4)
-        assert serial == fanout
-
-    def test_untestable_fraction_identical(self, mls_design):
-        # Two sims share one generator: the parallel path must advance
-        # the caller's rng exactly as the serial one does.
-        serial = untestable_fault_fraction(
-            mls_design, stream("frac", TEST_SEED), patterns=64)
-        fanout = untestable_fault_fraction(
-            mls_design, stream("frac", TEST_SEED), patterns=64,
-            parallel=POOL4)
-        assert serial == fanout
-
-
 # -- prepare cache + golden determinism --------------------------------------
 
 def _tiny_factory(libraries, seeds):
@@ -346,8 +288,8 @@ class TestGoldenDeterminism:
 
     def test_flow_row_identical_across_worker_counts(self, hetero_tech):
         """The same flow at workers=1 and workers=2 prints the same row:
-        only the oracle and fault-simulation loops fan out, and each
-        is bit-identical to its serial loop."""
+        only the oracle loop fans out, and it is bit-identical to its
+        serial loop."""
         rows = []
         for workers in (1, 2):
             clear_prepare_cache()

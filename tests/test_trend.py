@@ -121,7 +121,7 @@ class TestGate:
         budgets = load_budgets(repo / "benchmarks" / "budgets.json")
         names = set(budgets["budgets"])
         for prefix in ("place.", "route.", "sta.", "select.",
-                       "service."):
+                       "service.", "dft."):
             assert any(n.startswith(prefix) for n in names), \
                 f"no budgeted {prefix}* leg"
         latest = latest_legs(load_trend(
