@@ -1,34 +1,18 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command>`` (see ``--help``).
 
-Commands
---------
-flow       run one (benchmark, selector) flow and print the metric row
-table      regenerate a paper table (1, 3, 4, 5, 6)
-timing     run a flow and print the signoff-style timing report
-congestion run a flow and print routing utilization + a heatmap
-export     generate a benchmark netlist and write structural Verilog
-service    flow-as-a-service daemon: start | stop | status | submit
-trace      analyze trace files: report | diff | gate
-list       list benchmark keys and selectors
+The verbs live in one table in :func:`build_parser`, each with its
+handler.  Their flow-request flags derive from
+:class:`repro.harness.request.FlowRequest`, whose validators the
+daemon applies to JSON too, so a value the daemon would reject exits
+with status 2 at parse time.  Any :class:`~repro.errors.ReproError`
+prints one ``error:`` line on stderr and exits 2.
 
 ``flow``/``timing``/``congestion`` accept ``--store PATH`` to read
 through (and write back) the persistent content-addressed artifact
-store — warm invocations skip generate/partition/place/buffer, or
-replay the whole stored report bit-identically.  ``service start``
-puts an async daemon in front of the same store on a unix socket.
-
-Every command also takes the observability flags (see
-:mod:`repro.obs`): ``--trace PATH`` records hierarchical spans to
-JSONL plus a ``chrome://tracing``-loadable sibling, ``--metrics PATH``
-dumps the run's counters/gauges/stats, and ``--log-level`` adjusts the
-structured ``repro`` logger (default ``info`` output is byte-identical
-to the historical prints).  ``--trace-max-mb N`` switches tracing to a
-size-capped **rotating** stream (``PATH`` → ``PATH.1`` → ...) for
-long runs; ``service start`` always streams its trace this way.  The
-``trace`` group analyzes what the tracer wrote: ``trace report`` for
-self/cumulative-time profiles and critical paths, ``trace diff`` to
-localize where wall-clock moved between two runs, and ``trace gate``
-to check the perf-trend ledger against ``benchmarks/budgets.json``.
+store; ``service start`` puts an async daemon in front of the same
+store on a unix socket.  Every command takes the observability flags
+of :mod:`repro.obs` (``--trace``, ``--trace-max-mb``, ``--metrics``,
+``--log-level``), and the ``trace`` verbs analyze what they wrote.
 
 Examples
 --------
@@ -41,9 +25,7 @@ python -m repro flow --selector none --trace run.jsonl --metrics run.json
 python -m repro flow --benchmark maeri16_hetero --store .repro/store
 python -m repro service start --detach
 python -m repro service submit --benchmark maeri16_hetero --selector none
-python -m repro service status --json
 python -m repro service status --metrics
-python -m repro trace report run.jsonl --top 15
 python -m repro trace diff none.jsonl sota.jsonl
 python -m repro trace gate --update-budgets
 """
@@ -51,6 +33,7 @@ python -m repro trace gate --update-budgets
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -58,12 +41,11 @@ from pathlib import Path
 
 from repro.core.flow import SELECTORS
 from repro.errors import ReproError
-from repro.harness.designs import BENCHMARKS, DEFAULT_EXPERIMENT_SEED, \
-    get_benchmark
-from repro.harness.tables import run_benchmark_flow
+from repro.harness.designs import BENCHMARKS, get_benchmark
+from repro.harness.request import Number, add_flags, from_args
+from repro.harness.tables import run_request
 from repro.obs import (LEVELS, chrome_trace_path, get_logger, metrics,
-                       set_log_level, trace)
-from repro.parallel import ParallelConfig
+                       set_log_level, trace, trend)
 
 log = get_logger("repro.cli")
 
@@ -73,45 +55,10 @@ DEFAULT_SOCKET = os.environ.get("REPRO_SERVICE_SOCKET",
 DEFAULT_STORE = os.environ.get("REPRO_STORE", ".repro/store")
 
 
-def _add_design(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--benchmark", default="maeri16_hetero",
-                        choices=sorted(BENCHMARKS))
-    parser.add_argument("--seed", type=int,
-                        default=DEFAULT_EXPERIMENT_SEED)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    _add_design(parser)
-    parser.add_argument("--selector", default="gnn",
-                        choices=list(SELECTORS))
-    _add_parallel(parser)
-    parser.add_argument("--store", metavar="PATH", default=None,
-                        help="persistent content-addressed artifact "
-                             "store to read through / write back "
-                             "(warm runs skip prepare or replay the "
-                             "stored report)")
-
-
-def _store(args):
-    path = getattr(args, "store", None)
-    if not path:
-        return None
-    from repro.service.store import ArtifactStore
-    return ArtifactStore(path)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _add_parallel(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker processes for the oracle "
-                             "selector (1 = serial; results are "
-                             "identical)")
+#: argparse ``type=`` validators of the flags that are not request
+#: fields (those come with :func:`repro.harness.request.add_flags`).
+_positive_int = Number(int, 1).from_text
+_count = Number(int, 0).from_text
 
 
 def _add_obs(parser: argparse.ArgumentParser,
@@ -135,10 +82,6 @@ def _add_obs(parser: argparse.ArgumentParser,
                        help="repro logger threshold (default: info)")
 
 
-def _parallel_config(args) -> ParallelConfig:
-    return ParallelConfig(workers=args.workers)
-
-
 def _cmd_list(_args) -> int:
     log.info("benchmarks:")
     for key, spec in sorted(BENCHMARKS.items()):
@@ -153,8 +96,6 @@ def _verilog_spec(spec, path):
     """A copy of *spec* whose factory imports *path* instead of
     generating — the tech/freq/activity context stays the benchmark's.
     """
-    import dataclasses
-
     from repro.netlist.verilog import read_verilog
 
     def factory(libraries, seeds):
@@ -166,12 +107,14 @@ def _verilog_spec(spec, path):
         paper_name=f"{spec.paper_name} [import {path}]", factory=factory)
 
 
-def _run_flow(args, spec):
-    """The flow the common flags describe, through ``--store`` if set."""
-    store = _store(args)
-    report = run_benchmark_flow(spec, args.selector, seed=args.seed,
-                                parallel=_parallel_config(args),
-                                store=store)
+def _run_flow(args, spec=None):
+    """The flow the request flags describe, through ``--store`` if
+    set; *spec* stands in for the named benchmark."""
+    store = None
+    if args.store:
+        from repro.service.store import ArtifactStore
+        store = ArtifactStore(args.store)
+    report = run_request(from_args(args), spec, store=store)
     if store is not None:
         store.flush()           # persist batched recency updates
     return report
@@ -196,39 +139,36 @@ def _cmd_table(args) -> int:
                                table3_dft_comparison, table4_heterogeneous,
                                table5_homogeneous, table6_testable)
     from repro.harness.tables import _PPA_METRICS
-    parallel = _parallel_config(args)
     if args.table == 1:
         for row in table1_single_net(args.seed):
             log.info("%s", row)
     elif args.table == 3:
         for strategy, row in table3_dft_comparison(
-                args.seed, parallel=parallel).items():
+                args.seed, workers=args.workers).items():
             log.info("%s %s", strategy, row)
-    elif args.table in (4, 5, 6):
+    else:
         builder = {4: table4_heterogeneous, 5: table5_homogeneous,
                    6: table6_testable}[args.table]
         columns = ["none", "gnn"] if args.table == 6 \
             else ["none", "sota", "gnn"]
-        for bench, rows in builder(args.seed, parallel=parallel).items():
+        for bench, rows in builder(args.seed,
+                                   workers=args.workers).items():
             log.info(format_table(f"Table {args.table} ({bench})",
                                   columns, rows, _PPA_METRICS))
             log.info("")
-    else:
-        log.error(f"unknown table {args.table}")
-        return 2
     return 0
 
 
 def _cmd_timing(args) -> int:
     from repro.timing.report import render_summary
-    report = _run_flow(args, get_benchmark(args.benchmark))
+    report = _run_flow(args)
     log.info(render_summary(report.final_sta, num_paths=args.paths))
     return 0
 
 
 def _cmd_congestion(args) -> int:
     from repro.route.report import render_heatmap, render_utilization
-    report = _run_flow(args, get_benchmark(args.benchmark))
+    report = _run_flow(args)
     routing = report.design.require_routing()
     log.info(render_utilization(routing))
     log.info("")
@@ -337,10 +277,7 @@ def _service_status(args) -> int:
 
 def _service_submit(args) -> int:
     response = _service_client(args).submit_flow(
-        benchmark=args.benchmark, selector=args.selector,
-        seed=args.seed, with_scan=args.with_scan,
-        dft_strategy=args.dft_strategy, freq_mhz=args.freq_mhz,
-        workers=args.workers, save_report=args.save_report)
+        **dataclasses.asdict(from_args(args)))
     if args.json:
         print(json.dumps(response, indent=2, sort_keys=True))
         return 0 if response.get("ok") else 1
@@ -361,12 +298,6 @@ def _service_submit(args) -> int:
     return 0
 
 
-def _cmd_service(args) -> int:
-    handler = {"start": _service_start, "stop": _service_stop,
-               "status": _service_status, "submit": _service_submit}
-    return handler[args.service_command](args)
-
-
 def _trace_report(args) -> int:
     from repro.obs.analyze import report_file
     print(report_file(args.file, top=args.top, by=args.by))
@@ -380,16 +311,23 @@ def _trace_diff(args) -> int:
 
 
 def _trace_gate(args) -> int:
-    from repro.obs import trend
+    if not args.update_budgets and (args.tolerance, args.headroom,
+                                    args.leg) != (None, None, None):
+        # Check mode takes the tolerance from the budgets file.
+        raise ReproError("--tolerance, --headroom and --leg are valid "
+                         "only with --update-budgets")
     latest = trend.latest_legs(trend.load_trend(args.trend))
     if args.update_budgets:
-        legs = args.leg or None
-        payload = trend.write_budgets(args.budgets, latest, legs=legs,
-                                      tolerance=args.tolerance,
-                                      headroom=args.headroom)
+        tolerance = (trend.DEFAULT_TOLERANCE if args.tolerance is None
+                     else args.tolerance)
+        headroom = (trend.DEFAULT_HEADROOM if args.headroom is None
+                    else args.headroom)
+        payload = trend.write_budgets(args.budgets, latest, legs=args.leg,
+                                      tolerance=tolerance,
+                                      headroom=headroom)
         log.info(f"wrote {len(payload['budgets'])} leg budgets to "
-                 f"{args.budgets} (headroom x{args.headroom:g}, "
-                 f"tolerance {args.tolerance:.0%})")
+                 f"{args.budgets} (headroom x{headroom:g}, "
+                 f"tolerance {tolerance:.0%})")
         return 0
     budgets = trend.load_budgets(args.budgets)
     failures, lines = trend.check_gate(latest, budgets)
@@ -404,16 +342,6 @@ def _trace_gate(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    handler = {"report": _trace_report, "diff": _trace_diff,
-               "gate": _trace_gate}
-    try:
-        return handler[args.trace_command](args)
-    except (OSError, ValueError) as exc:
-        log.error(str(exc))
-        return 2
-
-
 def _cmd_export(args) -> int:
     from repro.netlist.verilog import write_verilog
     spec = get_benchmark(args.benchmark)
@@ -425,7 +353,9 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser; the flow-request flags of each
+    verb come from :class:`repro.harness.request.FlowRequest`."""
     parser = argparse.ArgumentParser(
         prog="repro", description="GNN-MLS reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -433,7 +363,6 @@ def main(argv: list[str] | None = None) -> int:
     listing = sub.add_parser("list", help="list benchmarks and selectors")
 
     flow = sub.add_parser("flow", help="run one flow, print its row")
-    _add_common(flow)
     flow.add_argument("--verilog", metavar="FILE", default=None,
                       help="import FILE (structural Verilog, e.g. from "
                            "'repro export') as the design instead of "
@@ -444,34 +373,28 @@ def main(argv: list[str] | None = None) -> int:
     table = sub.add_parser("table", help="regenerate a paper table")
     table.add_argument("--table", type=int, required=True,
                        choices=(1, 3, 4, 5, 6))
-    table.add_argument("--seed", type=int,
-                       default=DEFAULT_EXPERIMENT_SEED)
-    _add_parallel(table)
 
     timing = sub.add_parser("timing", help="signoff-style timing report")
-    _add_common(timing)
-    timing.add_argument("--paths", type=int, default=3)
+    timing.add_argument("--paths", type=_count, default=3,
+                        help="worst paths to print (default: 3)")
 
     congestion = sub.add_parser("congestion",
                                 help="routing utilization + heatmap")
-    _add_common(congestion)
+    for command in (flow, timing, congestion):
+        command.add_argument("--store", metavar="PATH", default=None,
+                             help="persistent content-addressed "
+                                  "artifact store to read through / "
+                                  "write back (warm runs skip prepare "
+                                  "or replay the stored report)")
 
     export = sub.add_parser("export", help="write structural Verilog")
-    _add_design(export)
     export.add_argument("--out", required=True)
 
     service = sub.add_parser(
         "service", help="flow-as-a-service daemon (start|stop|status|"
                         "submit)")
     ssub = service.add_subparsers(dest="service_command", required=True)
-
-    def _add_socket(parser):
-        parser.add_argument("--socket", default=DEFAULT_SOCKET,
-                            help=f"daemon unix socket "
-                                 f"(default: {DEFAULT_SOCKET})")
-
     s_start = ssub.add_parser("start", help="run the daemon")
-    _add_socket(s_start)
     s_start.add_argument("--store", default=None,
                          help=f"artifact store root "
                               f"(default: {DEFAULT_STORE})")
@@ -484,39 +407,24 @@ def main(argv: list[str] | None = None) -> int:
                               "once the socket answers")
 
     s_stop = ssub.add_parser("stop", help="shut the daemon down")
-    _add_socket(s_stop)
 
     s_status = ssub.add_parser("status",
                                help="queue/store/metrics snapshot")
-    _add_socket(s_status)
     s_status.add_argument("--json", action="store_true",
                           help="print the raw status JSON")
+    s_status.add_argument("--metrics", action="store_true",
+                          help="print the daemon metrics as Prometheus "
+                               "text exposition and exit")
 
     s_submit = ssub.add_parser("submit", help="submit one flow request")
-    _add_socket(s_submit)
-    s_submit.add_argument("--benchmark", default="maeri16_hetero",
-                          choices=sorted(BENCHMARKS))
-    s_submit.add_argument("--selector", default="gnn",
-                          choices=list(SELECTORS))
-    s_submit.add_argument("--seed", type=int,
-                          default=DEFAULT_EXPERIMENT_SEED)
-    s_submit.add_argument("--with-scan", action="store_true")
-    s_submit.add_argument("--dft-strategy", default=None,
-                          choices=("net-based", "wire-based"))
-    s_submit.add_argument("--freq-mhz", type=float, default=None,
-                          help="override the benchmark target clock")
-    s_submit.add_argument("--workers", type=_positive_int, default=1)
-    s_submit.add_argument("--save-report", action="store_true",
-                          help="also report the on-disk FlowReport "
-                               "artifact paths")
     s_submit.add_argument("--timeout", type=float, default=900.0,
                           help="client wait budget in seconds")
     s_submit.add_argument("--json", action="store_true",
                           help="print the raw response JSON")
-
-    s_status.add_argument("--metrics", action="store_true",
-                          help="print the daemon metrics as Prometheus "
-                               "text exposition and exit")
+    for command in (s_start, s_stop, s_status, s_submit):
+        command.add_argument("--socket", default=DEFAULT_SOCKET,
+                             help=f"daemon unix socket "
+                                  f"(default: {DEFAULT_SOCKET})")
 
     tracecmd = sub.add_parser(
         "trace", help="analyze trace files (report|diff|gate)")
@@ -554,40 +462,48 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --update-budgets: budget only this "
                              "leg (repeatable; default: every sampled "
                              "leg)")
-    t_gate.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed fraction over budget "
-                             "(default: 0.15)")
-    t_gate.add_argument("--headroom", type=float, default=2.0,
-                        help="with --update-budgets: budget = newest "
-                             "sample x headroom (default: 2.0)")
+    t_gate.add_argument("--tolerance", type=Number(float, 0).from_text,
+                        default=None,
+                        help=f"with --update-budgets: allowed fraction "
+                             f"over budget (default: "
+                             f"{trend.DEFAULT_TOLERANCE:g}; check mode "
+                             f"reads it from the budgets file)")
+    t_gate.add_argument("--headroom",
+                        type=Number(float, 0, strict=True).from_text,
+                        default=None,
+                        help=f"with --update-budgets: budget = newest "
+                             f"sample x headroom (default: "
+                             f"{trend.DEFAULT_HEADROOM:g})")
 
-    for command in (listing, flow, table, timing, congestion, export,
-                    s_start, s_stop, s_submit, t_report, t_diff,
-                    t_gate):
-        _add_obs(command)
-    _add_obs(s_status, metrics_flag=False)
+    commands = {
+        "list": (listing, _cmd_list), "flow": (flow, _cmd_flow),
+        "table": (table, _cmd_table), "timing": (timing, _cmd_timing),
+        "congestion": (congestion, _cmd_congestion),
+        "export": (export, _cmd_export),
+        "service start": (s_start, _service_start),
+        "service stop": (s_stop, _service_stop),
+        "service status": (s_status, _service_status),
+        "service submit": (s_submit, _service_submit),
+        "trace report": (t_report, _trace_report),
+        "trace diff": (t_diff, _trace_diff),
+        "trace gate": (t_gate, _trace_gate)}
+    for verb, (command, handler) in commands.items():
+        add_flags(command, verb)
+        _add_obs(command, metrics_flag=command is not s_status)
+        command.set_defaults(handler=handler)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     set_log_level(args.log_level)
-    handler = {
-        "list": _cmd_list,
-        "flow": _cmd_flow,
-        "table": _cmd_table,
-        "timing": _cmd_timing,
-        "congestion": _cmd_congestion,
-        "export": _cmd_export,
-        "service": _cmd_service,
-        "trace": _cmd_trace,
-    }[args.command]
     # Long-lived daemons stream their trace through a rotating sink
     # (bounded file size, bounded memory); one-shot commands buffer
     # unless --trace-max-mb asks for rotation explicitly.
-    streaming = args.trace and (
-        args.trace_max_mb is not None
-        or (args.command == "service"
-            and args.service_command == "start"))
-    if (args.command == "service" and args.service_command == "start"
-            and args.detach):
+    daemon = args.handler is _service_start
+    streaming = args.trace and (args.trace_max_mb is not None or daemon)
+    if daemon and args.detach:
         # The forked daemon owns the trace file (_service_start
         # forwards the flags and clears args.trace); the parent must
         # not open, truncate, or write it.
@@ -600,9 +516,15 @@ def main(argv: list[str] | None = None) -> int:
             trace.attach_sink(RotatingTraceSink(
                 args.trace, max_bytes=max_mb << 20))
     try:
-        code = handler(args)
+        code = args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except (OSError, ValueError) as exc:
+        if args.command != "trace":
+            raise
+        # A trace verb's missing or malformed input file.
+        log.error(str(exc))
         code = 2
     if args.trace:
         if streaming:

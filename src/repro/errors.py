@@ -52,3 +52,7 @@ class TrainingError(ReproError):
 
 class FlowError(ReproError):
     """Top-level design-flow orchestration error."""
+
+
+class ServiceError(FlowError):
+    """Bad flow request or flow-service failure (socket in use...)."""

@@ -14,8 +14,8 @@ from repro.core.flow import (FlowConfig, FlowReport, run_flow,
                              prepare_design_cached)
 from repro.harness.designs import (BenchmarkSpec, get_benchmark,
                                    DEFAULT_EXPERIMENT_SEED)
+from repro.harness.request import FlowRequest
 from repro.mls import route_with_mls
-from repro.parallel import ParallelConfig
 from repro.service.keys import flow_key
 from repro.timing import (IncrementalSta, extract_worst_paths,
                           net_whatif_delta)
@@ -24,54 +24,49 @@ from repro.timing import (IncrementalSta, extract_worst_paths,
 _FLOW_CACHE: dict[tuple, FlowReport] = {}
 
 
-def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
-                       with_scan: bool = False,
-                       dft_strategy: str | None = None,
-                       seed: int = DEFAULT_EXPERIMENT_SEED,
-                       parallel: ParallelConfig | None = None,
-                       store=None) -> FlowReport:
-    """Run (or fetch) one cached flow.
+def run_benchmark_flow(spec: BenchmarkSpec, selector: str, store=None,
+                       **fields) -> FlowReport:
+    """:func:`run_request` for *spec* at its target clock; *fields* are
+    further :class:`FlowRequest` fields (``seed``, ``workers``...)."""
+    return run_request(FlowRequest(spec.key, selector, **fields), spec,
+                       store=store)
+
+
+def run_request(request: FlowRequest, spec: BenchmarkSpec | None = None,
+                store=None) -> FlowReport:
+    """Run (or fetch) the cached flow *request* describes, configured
+    by :meth:`FlowRequest.flow_inputs` exactly as the flow daemon does;
+    *spec* stands in for the named benchmark (an imported netlist).
 
     The memo key is the shared content key from
     :mod:`repro.service.keys` — the same derivation the persistent
-    store uses — plus the worker count: *parallel* only changes
-    wall-clock, never results (the equivalence suite locks that), but
-    repeat invocations with different worker counts must measure
-    honestly.  Factories without a stable content fingerprint key by
-    identity, exactly like the prepare LRU.
+    store uses — plus the worker count: workers only change
+    wall-clock, never results, but repeat invocations with different
+    worker counts must measure honestly.  Factories without a stable
+    content fingerprint key by identity, like the prepare LRU.
 
     Pass *store* (an :class:`repro.service.ArtifactStore`) to read
     through / write back the persistent artifact cache — warm
     invocations then skip generate/partition/place/buffer or replay
     the whole stored report.
     """
-    parallel = parallel or ParallelConfig()
-    config = FlowConfig(
-        selector=selector,
-        target_freq_mhz=spec.target_freq_mhz,
-        num_paths=spec.num_paths,
-        num_labeled=spec.num_labeled,
-        with_scan=with_scan,
-        dft_strategy=dft_strategy,
-        activity=spec.activity,
-        parallel=parallel,
-    )
-    content = flow_key(spec.factory, spec.tech(), spec.seeds(seed),
-                       config)
-    key: tuple = (content.hexdigest, parallel.workers)
+    spec, config, seeds = request.flow_inputs(spec)
+    content = flow_key(spec.factory, spec.tech(), seeds, config)
+    key: tuple = (content.hexdigest, request.workers)
     if not content.stable:
         key += (spec.factory,)
     if key not in _FLOW_CACHE:
         if store is not None:
             from repro.service.stages import run_flow_stored
             report, _summary, _cached = run_flow_stored(
-                spec.factory, spec.tech(), spec.seeds(seed), config,
-                store, need_report=True)
+                spec.factory, spec.tech(), seeds, config, store,
+                need_report=True)
         else:
             design = prepare_design_cached(spec.factory, spec.tech(),
-                                           spec.seeds(seed), config)
+                                           seeds, config)
             report = run_flow(spec.factory, spec.tech(),
-                              spec.seeds(seed), config, design=design)
+                              spec.seeds(request.seed), config,
+                              design=design)
         _FLOW_CACHE[key] = report
     return _FLOW_CACHE[key]
 
@@ -83,12 +78,11 @@ def clear_flow_cache() -> None:
 def flow_comparison_rows(benchmark_key: str,
                          selectors: tuple[str, ...] = ("none", "sota", "gnn"),
                          seed: int = DEFAULT_EXPERIMENT_SEED,
-                         parallel: ParallelConfig | None = None
-                         ) -> dict[str, dict[str, float]]:
+                         workers: int = 1) -> dict[str, dict[str, float]]:
     """selector -> metric row for one benchmark."""
     spec = get_benchmark(benchmark_key)
     return {sel: run_benchmark_flow(spec, sel, seed=seed,
-                                    parallel=parallel).row()
+                                    workers=workers).row()
             for sel in selectors}
 
 
@@ -133,53 +127,38 @@ _PPA_METRICS = [
 
 
 def table4_heterogeneous(seed: int = DEFAULT_EXPERIMENT_SEED,
-                         parallel: ParallelConfig | None = None
+                         workers: int = 1
                          ) -> dict[str, dict[str, dict[str, float]]]:
     """Table IV: hetero PPA for MAERI-128 and A7 x {No MLS, SOTA, Ours}."""
-    return {
-        "maeri128_hetero": flow_comparison_rows("maeri128_hetero", seed=seed,
-                                                parallel=parallel),
-        "a7_hetero": flow_comparison_rows("a7_hetero", seed=seed,
-                                          parallel=parallel),
-    }
+    return {key: flow_comparison_rows(key, seed=seed, workers=workers)
+            for key in ("maeri128_hetero", "a7_hetero")}
 
 
 def table5_homogeneous(seed: int = DEFAULT_EXPERIMENT_SEED,
-                       parallel: ParallelConfig | None = None
+                       workers: int = 1
                        ) -> dict[str, dict[str, dict[str, float]]]:
     """Table V: homo PPA for MAERI-256 and A7 x {No MLS, SOTA, Ours}."""
-    return {
-        "maeri256_homo": flow_comparison_rows("maeri256_homo", seed=seed,
-                                              parallel=parallel),
-        "a7_homo": flow_comparison_rows("a7_homo", seed=seed,
-                                        parallel=parallel),
-    }
+    return {key: flow_comparison_rows(key, seed=seed, workers=workers)
+            for key in ("maeri256_homo", "a7_homo")}
 
 
 def table6_testable(seed: int = DEFAULT_EXPERIMENT_SEED,
-                    parallel: ParallelConfig | None = None
+                    workers: int = 1
                     ) -> dict[str, dict[str, dict[str, float]]]:
     """Table VI: testable designs — No-MLS+DFT vs GNN-MLS+DFT (hetero).
 
     The No-MLS flow has no MLS opens, so only scan applies; the
     GNN-MLS flow additionally gets the wire-based MLS repairs.
     """
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for key in ("maeri128_hetero", "a7_hetero"):
-        spec = get_benchmark(key)
-        rows = {}
-        rows["none"] = run_benchmark_flow(
-            spec, "none", with_scan=True, dft_strategy="wire-based",
-            seed=seed, parallel=parallel).row()
-        rows["gnn"] = run_benchmark_flow(
-            spec, "gnn", with_scan=True, dft_strategy="wire-based",
-            seed=seed, parallel=parallel).row()
-        out[key] = rows
-    return out
+    return {key: {sel: run_benchmark_flow(
+                get_benchmark(key), sel, with_scan=True,
+                dft_strategy="wire-based", seed=seed,
+                workers=workers).row() for sel in ("none", "gnn")}
+            for key in ("maeri128_hetero", "a7_hetero")}
 
 
 def table3_dft_comparison(seed: int = DEFAULT_EXPERIMENT_SEED,
-                          parallel: ParallelConfig | None = None
+                          workers: int = 1
                           ) -> dict[str, dict[str, float]]:
     """Table III: net-based vs wire-based DFT on the small fabric.
 
@@ -191,7 +170,7 @@ def table3_dft_comparison(seed: int = DEFAULT_EXPERIMENT_SEED,
     for strategy in ("net-based", "wire-based"):
         report = run_benchmark_flow(spec, "gnn", with_scan=True,
                                     dft_strategy=strategy, seed=seed,
-                                    parallel=parallel)
+                                    workers=workers)
         row = report.row()
         out[strategy] = {
             "total_faults": row["total_faults"],

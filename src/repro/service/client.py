@@ -2,7 +2,8 @@
 
 Thin by design: one connection per request, stdlib ``socket`` only, so
 the CLI verbs, tests and benchmark harnesses can talk to the daemon
-without touching asyncio.  Thread-safe by construction (no shared
+without touching asyncio.  A flow request's fields go out as given:
+the daemon's decoder is the one place they are checked.  Thread-safe by construction (no shared
 connection state), which is exactly what the concurrency suite needs
 to hammer one daemon from many submitter threads.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import socket
 import time
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import FlowError
 
@@ -86,22 +87,11 @@ class ServiceClient:
     def shutdown(self) -> dict:
         return self.request({"op": "shutdown"})
 
-    def submit_flow(self, benchmark: str, selector: str = "gnn",
-                    seed: Optional[int] = None,
-                    with_scan: bool = False,
-                    dft_strategy: Optional[str] = None,
-                    freq_mhz: Optional[float] = None,
-                    workers: int = 1,
-                    save_report: bool = False,
-                    **extra: Any) -> dict:
-        payload = {"op": "flow", "benchmark": benchmark,
-                   "selector": selector, "seed": seed,
-                   "with_scan": with_scan,
-                   "dft_strategy": dft_strategy,
-                   "freq_mhz": freq_mhz, "workers": workers,
-                   "save_report": save_report}
-        payload.update(extra)
-        return self.request(payload)
+    def submit_flow(self, **fields: Any) -> dict:
+        """Run (or replay) one flow.  *fields* are
+        :class:`repro.harness.request.FlowRequest` fields, sent as
+        given: the daemon fills the defaults and rejects bad fields."""
+        return self.request({**fields, "op": "flow"})
 
 
 def service_alive(socket_path: str, timeout: float = 2.0) -> bool:

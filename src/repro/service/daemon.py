@@ -15,9 +15,11 @@ per line in both directions; ops:
 ``flow``      run (or replay) one benchmark flow; responds with the
               table row, the report digest, timing breakdown and —
               on request — the on-disk paths of the pickled
-              :class:`FlowReport` artifacts.  Every field is decoded
-              and checked before the request is queued: an unknown
-              or ill-typed field is an error naming it, never
+              :class:`FlowReport` artifacts.  The fields are those
+              of :class:`repro.harness.request.FlowRequest`, which
+              the CLI flags derive from too; its decoder checks them
+              all before the request is queued, so an unknown or
+              ill-typed field is a ``ServiceError`` naming it, never
               coerced or silently ignored;
 ``shutdown``  drain nothing, stop now (the store is crash-safe:
               every artifact write is atomic).
@@ -38,9 +40,10 @@ process-wide :mod:`repro.obs` metrics (``service.requests``,
 back to clients — the concurrency test suite asserts dedup through
 exactly this surface.  Telemetry additions on top of that:
 
-* every dispatch is timed into the ``service.latency_s`` (and
-  per-op ``service.latency_s.<op>``) fixed-bucket **histograms**,
-  exported by the ``metrics`` op;
+* every dispatch is timed into the ``service.latency_s`` (and, for
+  the known :data:`OPS`, per-op ``service.latency_s.<op>``)
+  fixed-bucket **histograms**, exported by the ``metrics`` op; any
+  other op string counts under ``service.requests.unknown``;
 * flow requests get a daemon-unique **request id** (``req-<seq>``)
   that is pinned onto the tracer for the job's executor thread, so
   every span the job emits — including pool-worker spans merged back
@@ -58,15 +61,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from threading import Thread
 
-from repro.errors import FlowError
+from repro.errors import FlowError, ServiceError
+from repro.harness.request import FlowRequest, decode_flow_request
 from repro.obs import flight, get_logger, metrics, trace
 from repro.obs.metrics import render_prometheus
 from repro.service.store import (ArtifactStore, DEFAULT_BUDGET_BYTES,
@@ -78,13 +81,10 @@ log = get_logger("repro.service.daemon")
 #: ``health``/``metrics`` ops, request ids and latency histograms.
 PROTOCOL_VERSION = 2
 
-#: Benchmark a ``flow`` request runs when it names none.
-DEFAULT_BENCHMARK = "maeri16_hetero"
-
-#: Every field a ``flow`` request may carry; any other is rejected.
-_FLOW_ACCEPTED_FIELDS = frozenset((
-    "op", "benchmark", "selector", "seed", "with_scan", "dft_strategy",
-    "freq_mhz", "workers", "save_report"))
+#: The ops the daemon serves.  Only these get their own request
+#: counter and latency histogram: any other op string counts under
+#: ``service.requests.unknown``, so clients cannot mint metric names.
+OPS = ("ping", "health", "status", "metrics", "shutdown", "flow")
 
 
 @dataclass(frozen=True)
@@ -98,110 +98,6 @@ class ServiceConfig:
     #: Concurrent flow executions.  1 keeps traces well-nested and
     #: benchmark wall-clocks honest; raise it for throughput.
     flow_workers: int = 1
-
-
-class ServiceError(FlowError):
-    """Daemon-level failure (bad request, socket in use...)."""
-
-
-@dataclass(frozen=True)
-class FlowRequest:
-    """One decoded ``flow`` request with every default filled in.
-
-    Equal requests share one dedup slot; ``save_report`` only shapes
-    the response, so it takes no part in equality.
-    """
-
-    benchmark: str
-    selector: str
-    seed: int
-    with_scan: bool
-    dft_strategy: str | None
-    freq_mhz: float
-    workers: int
-    save_report: bool = field(default=False, compare=False)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _one_of(choices) -> tuple:
-    return (lambda v: isinstance(v, str) and v in choices,
-            f"one of {sorted(choices)}")
-
-
-def _decode(request: dict, name: str, default, valid, expected: str):
-    """``request[name]``, or *default* when absent or null."""
-    value = request.get(name)
-    if value is None:
-        return default
-    if not valid(value):
-        raise ServiceError(f"flow request field {name!r}: expected "
-                           f"{expected}, got {value!r}")
-    return value
-
-
-def decode_flow_request(request: dict) -> FlowRequest:
-    """Validate every field of a ``flow`` request and fill defaults.
-
-    An absent or null field takes its default; anything else must have
-    the field's exact JSON type and range.  A bad field raises a
-    :class:`ServiceError` naming it, before the request is queued.
-    """
-    from repro.core.flow import DFT_STRATEGIES, SELECTORS, FlowConfig
-    from repro.harness.designs import BENCHMARKS, DEFAULT_EXPERIMENT_SEED
-
-    unknown = sorted(set(request) - _FLOW_ACCEPTED_FIELDS)
-    if unknown:
-        raise ServiceError(
-            f"unknown flow request field(s): {', '.join(unknown)}")
-    flag = (lambda v: isinstance(v, bool), "true or false")
-    benchmark = _decode(request, "benchmark", DEFAULT_BENCHMARK,
-                        *_one_of(BENCHMARKS))
-    decoded = FlowRequest(
-        benchmark=benchmark,
-        selector=_decode(request, "selector", FlowConfig.selector,
-                         *_one_of(SELECTORS)),
-        seed=_decode(request, "seed", DEFAULT_EXPERIMENT_SEED, _is_int,
-                     "an integer"),
-        with_scan=_decode(request, "with_scan", False, *flag),
-        dft_strategy=_decode(request, "dft_strategy", None,
-                             *_one_of(DFT_STRATEGIES)),
-        freq_mhz=float(_decode(
-            request, "freq_mhz", BENCHMARKS[benchmark].target_freq_mhz,
-            lambda v: (_is_int(v) or isinstance(v, float))
-            and math.isfinite(v) and v > 0,
-            "a finite number > 0 or null")),
-        workers=_decode(request, "workers", 1,
-                        lambda v: _is_int(v) and v >= 1,
-                        "an integer >= 1"),
-        save_report=_decode(request, "save_report", False, *flag),
-    )
-    if decoded.dft_strategy is not None and not decoded.with_scan:
-        raise ServiceError("flow request field 'dft_strategy': "
-                           "needs with_scan=true")
-    return decoded
-
-
-def build_flow_config(request: FlowRequest):
-    """(spec, FlowConfig, SeedBundle) for one decoded ``flow`` request."""
-    from repro.core.flow import FlowConfig
-    from repro.harness.designs import get_benchmark
-    from repro.parallel import ParallelConfig
-
-    spec = get_benchmark(request.benchmark)
-    config = FlowConfig(
-        selector=request.selector,
-        target_freq_mhz=request.freq_mhz,
-        num_paths=spec.num_paths,
-        num_labeled=spec.num_labeled,
-        with_scan=request.with_scan,
-        dft_strategy=request.dft_strategy,
-        activity=spec.activity,
-        parallel=ParallelConfig(workers=request.workers),
-    )
-    return spec, config, spec.seeds(request.seed)
 
 
 class FlowService:
@@ -286,8 +182,8 @@ class FlowService:
                     break
                 try:
                     response = await self._dispatch(json.loads(line))
-                except (FlowError, ValueError, KeyError,
-                        TypeError) as exc:
+                except (FlowError, ValueError, KeyError, TypeError,
+                        RecursionError) as exc:
                     metrics.inc("service.errors")
                     response = {"ok": False, "error": repr(exc)}
                 writer.write(json.dumps(response, default=str).encode()
@@ -303,15 +199,16 @@ class FlowService:
             raise ServiceError(f"request must be a JSON object, got "
                                f"{type(request).__name__}")
         op = request.get("op")
+        known = isinstance(op, str) and op in OPS
         metrics.inc("service.requests")
-        metrics.inc(f"service.requests.{op}")
+        metrics.inc(f"service.requests.{op if known else 'unknown'}")
         t0 = time.perf_counter()
         try:
             return await self._dispatch_op(op, request)
         finally:
             latency = time.perf_counter() - t0
             metrics.observe_hist("service.latency_s", latency)
-            if isinstance(op, str):
+            if known:
                 metrics.observe_hist(f"service.latency_s.{op}", latency)
 
     async def _dispatch_op(self, op, request: dict) -> dict:
@@ -372,7 +269,8 @@ class FlowService:
     # -- the flow op ---------------------------------------------------------
 
     async def _op_flow(self, raw: dict) -> dict:
-        request = decode_flow_request(raw)
+        request = decode_flow_request(
+            {name: value for name, value in raw.items() if name != "op"})
         t0 = time.perf_counter()
         future = self._inflight.get(request)
         if future is not None:
@@ -440,8 +338,7 @@ class FlowService:
         """Executor-thread body: store lookup or full flow compute."""
         from repro.service.stages import (flow_artifact_paths,
                                           run_flow_stored)
-        spec, config, seeds = build_flow_config(request)
-        want_report = request.save_report
+        spec, config, seeds = request.flow_inputs()
         # Pin the request id on this executor thread: every span the
         # job emits (and every pool-worker span merged back into it)
         # carries req=<id>, so cross-process traces group by request.
@@ -453,7 +350,7 @@ class FlowService:
                 t0 = time.perf_counter()
                 report, summary, cached = run_flow_stored(
                     spec.factory, spec.tech(), seeds, config, self.store,
-                    need_report=want_report)
+                    need_report=request.save_report)
                 elapsed = time.perf_counter() - t0
         except Exception as exc:
             flight.record_note("flow job failed",
@@ -480,7 +377,7 @@ class FlowService:
             "runtime_s": summary["runtime_s"],
             "stage_runtime_s": summary["stage_runtime_s"],
         }
-        if want_report:
+        if request.save_report:
             response["artifacts"] = flow_artifact_paths(
                 spec.factory, spec.tech(), seeds, config, self.store)
         return response

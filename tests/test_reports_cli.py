@@ -76,6 +76,13 @@ class TestCli:
                      "--selector", "none"]) == 0
         assert "Routing utilization" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("paths", ["-1", "two"])
+    def test_timing_paths_must_be_a_count(self, paths, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["timing", "--selector", "none", "--paths", paths])
+        assert exc.value.code == 2
+        assert "--paths" in capsys.readouterr().err
+
     def test_bad_command_exits(self):
         with pytest.raises(SystemExit):
             main(["definitely-not-a-command"])

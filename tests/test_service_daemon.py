@@ -18,19 +18,30 @@ Contracts locked here:
   artifacts are fine — they are whole), clears the in-flight table,
   and the daemon keeps serving;
 * socket hygiene — a stale socket file is reclaimed, a live one
-  refuses a second daemon.
+  refuses a second daemon;
+* request decoding — every JSON value decodes to a
+  :class:`FlowRequest` or a ``ServiceError``; the CLI flags and the
+  daemon reject the same out-of-range value for every field; and the
+  local ``repro flow`` and the daemon build the same flow.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import json
+import math
 import os
 import shutil
+import socket
 import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
+from repro.harness.request import FlowRequest, decode_flow_request
 from repro.obs import metrics
 from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.daemon import (FlowService, ServiceConfig,
@@ -119,8 +130,8 @@ def _submit_many(daemon: _Daemon, payloads: list[dict]) -> list[dict]:
 
 
 def _flow_config(request: dict):
-    from repro.service.daemon import build_flow_config, decode_flow_request
-    return build_flow_config(decode_flow_request(request))
+    from repro.service.daemon import decode_flow_request
+    return decode_flow_request(request).flow_inputs()
 
 
 class TestRequestParsing:
@@ -201,6 +212,7 @@ class TestProtocol:
         ("freq_mhz", -5.0),
         ("freq_mhz", "1500"),
         ("freq_mhz", float("inf")),
+        pytest.param("freq_mhz", 10**400, id="freq_mhz-10**400"),
         ("workers", 2.7),
         ("workers", 0),
         ("workers", "x"),
@@ -493,3 +505,131 @@ class TestTelemetry:
         snap = metrics.snapshot()["histograms"]
         assert snap["service.latency_s"]["count"] > 0
         assert snap["service.flow_serve_s"]["count"] > 0
+
+
+class TestUnknownOps:
+    def test_client_op_names_do_not_become_metric_names(self, daemon,
+                                                        tmp_path):
+        """``x.y`` and ``x_y`` used to mint two series that sanitize to
+        one Prometheus family; unknown ops now share one counter."""
+        from repro.obs.schema import validate_prometheus_text
+        client = daemon.client()
+        before = metrics.counter("service.requests.unknown")
+        for op in ("x.y", "x_y"):
+            response = client.request({"op": op})
+            assert not response["ok"] and op in response["error"]
+        assert metrics.counter("service.requests.unknown") == before + 2
+        text = client.metrics_prometheus()
+        path = tmp_path / "scrape.prom"
+        path.write_text(text)
+        validate_prometheus_text(path)
+        assert "x_y" not in text
+        assert "repro_service_requests_unknown" in text
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.just(10**400) | st.just(-(10**400))
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.text(max_size=6)
+                 | st.sampled_from(["maeri16_hetero", "a7_hetero", "none",
+                                    "gnn", "net-based", "wire-based"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=6)
+_FIELD_NAMES = [f.name for f in dataclasses.fields(FlowRequest)]
+
+
+class TestRequestDecoding:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_FIELD_NAMES + ["op", "bogus"]),
+                           _JSON_VALUES, max_size=5)
+           | _JSON_VALUES)
+    def test_any_json_value_decodes_or_is_a_service_error(self, value):
+        try:
+            request = decode_flow_request(value)
+        except ServiceError as exc:
+            assert str(exc)
+            return
+        assert isinstance(request, FlowRequest)
+        assert math.isfinite(request.freq_mhz) and request.freq_mhz > 0
+        assert request.workers >= 1
+        _spec, config, seeds = request.flow_inputs()
+        assert config.selector == request.selector
+        assert seeds.seed == request.seed
+
+    def test_malformed_raw_lines_each_get_one_answer(self, daemon):
+        """Undecodable bytes, truncated JSON, an int past the float
+        range and over-deep nesting: one JSON error line each, on a
+        connection that stays usable."""
+        lines = [b"\xff\xfe\x80 not utf-8\n",
+                 b'{"op": "flow", "selector": \n',
+                 b'{"op": "flow", "selector": "none", "freq_mhz": 1'
+                 + b"0" * 400 + b"}\n",
+                 b"[" * 20000 + b"\n"]
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(daemon.socket_path)
+            stream = sock.makefile("rb")
+            for line in lines:
+                sock.sendall(line)
+                response = json.loads(stream.readline())
+                assert response["ok"] is False and response["error"]
+            sock.sendall(b'{"op": "ping"}\n')
+            assert json.loads(stream.readline())["ok"]
+        status = daemon.client().status()
+        assert status["inflight"] == 0
+        assert daemon.client().ping()["ok"]
+
+    @pytest.mark.parametrize("field", _FIELD_NAMES)
+    def test_cli_and_daemon_reject_the_same_value(self, daemon, field,
+                                                  capsys):
+        """One validator per field: an out-of-range value exits 2 at
+        argparse time and is a ServiceError naming the field at the
+        daemon, which computes nothing."""
+        bad = {"benchmark": "no_such_benchmark", "selector": "magic",
+               "seed": 1.5, "with_scan": "yes", "dft_strategy": "laser",
+               "freq_mhz": -5, "workers": 0, "save_report": "yes"}[field]
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["service", "submit", "--socket", daemon.socket_path,
+                  f"{flag}={bad}"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        counters = _Counters()
+        response = daemon.client().submit_flow(
+            **{"benchmark": BENCH, "selector": "none", field: bad})
+        assert not response["ok"]
+        assert response["error"].startswith("ServiceError(")
+        assert repr(field) in response["error"]
+        assert counters.delta("service.flow_computes") == 0
+
+    def test_local_flow_and_daemon_build_the_same_flow(self, tmp_path):
+        """``repro flow --store S`` and a daemon on S agree on the flow
+        key: the daemon replays the CLI's run."""
+        from repro.harness.designs import get_benchmark
+        from repro.harness.tables import (clear_flow_cache,
+                                          run_benchmark_flow)
+        from repro.service.stages import report_digest
+
+        clear_flow_cache()              # make the CLI write to the store
+        store_root = str(tmp_path / "store")
+        assert main(["flow", "--benchmark", BENCH, "--selector", "none",
+                     "--store", store_root]) == 0
+        local = report_digest(run_benchmark_flow(get_benchmark(BENCH),
+                                                 "none"))
+        sockdir = tempfile.mkdtemp(prefix="rsvc-", dir="/tmp")
+        handle = start_in_thread(ServiceConfig(
+            socket_path=os.path.join(sockdir, "s.sock"),
+            store_root=store_root))
+        try:
+            response = ServiceClient(handle.service.config.socket_path,
+                                     timeout=300).submit_flow(
+                benchmark=BENCH, selector="none")
+        finally:
+            handle.stop()
+            shutil.rmtree(sockdir, ignore_errors=True)
+        assert response["ok"] and response["cached"]
+        assert response["report_digest"] == local

@@ -128,3 +128,50 @@ class TestGate:
             repo / "benchmarks" / "results" / "trend.jsonl"))
         failures, _lines = check_gate(latest, budgets)
         assert failures == []
+
+
+class TestGateCli:
+    """``repro trace gate``: update-only flags and their ranges."""
+
+    def _paths(self, tmp_path):
+        trend = tmp_path / "trend.jsonl"
+        append_trend(trend, "place", {"place.m16.cached_s": 0.5})
+        return ["--trend", str(trend),
+                "--budgets", str(tmp_path / "budgets.json")]
+
+    @pytest.mark.parametrize("argv", [["--tolerance", "0.3"],
+                                      ["--headroom", "3"],
+                                      ["--leg", "place.m16.cached_s"]])
+    def test_update_only_flags_need_update_budgets(self, tmp_path,
+                                                   capsys, argv):
+        from repro.cli import main
+        code = main(["trace", "gate", *self._paths(tmp_path), *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert argv[0] in err and "--update-budgets" in err
+
+    @pytest.mark.parametrize("argv", [["--tolerance", "-0.1"],
+                                      ["--tolerance", "nan"],
+                                      ["--headroom", "0"],
+                                      ["--headroom", "-2"]])
+    def test_out_of_range_gate_flags_exit_2(self, tmp_path, capsys,
+                                            argv):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "gate", "--update-budgets",
+                  *self._paths(tmp_path), *argv])
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
+
+    def test_update_defaults_are_the_trend_defaults(self, tmp_path):
+        from repro.cli import main
+        from repro.obs.trend import DEFAULT_HEADROOM, DEFAULT_TOLERANCE
+        paths = self._paths(tmp_path)
+        assert main(["trace", "gate", "--update-budgets", *paths]) == 0
+        budgets = load_budgets(tmp_path / "budgets.json")
+        assert budgets["tolerance"] == DEFAULT_TOLERANCE
+        assert budgets["headroom"] == DEFAULT_HEADROOM
+        assert budgets["budgets"] == {
+            "place.m16.cached_s": 0.5 * DEFAULT_HEADROOM}
+        assert main(["trace", "gate", *paths]) == 0
