@@ -117,6 +117,15 @@ class Placement:
             return self.of_instance(pin.owner.name)
         return self.of_port(pin.port.name)
 
+    def of_pins(self, pins) -> list[Location]:
+        """:meth:`of_pin` over a pin sequence, one dict lookup each."""
+        inst, port = self._loc, self._port_loc
+        try:
+            return [inst[p.owner.name] if p.owner is not None
+                    else port[p.port.name] for p in pins]
+        except KeyError:
+            return [self.of_pin(p) for p in pins]   # raises the named error
+
     def validate(self) -> None:
         missing = [n for n in self.netlist.instances if n not in self._loc]
         if missing:

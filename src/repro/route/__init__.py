@@ -9,7 +9,7 @@ through a pair of F2F vias (Figure 1's "2d-shared net").
 """
 
 from repro.route.tree import RouteNode, RouteEdge, RouteTree
-from repro.route.steiner import mst_parents, build_route_points
+from repro.route.steiner import mst_parents
 from repro.route.grid import CongestionGrid
 from repro.route.rc import NetRC, extract_rc
 from repro.route.router import GlobalRouter, RouteConfig, RoutingResult
@@ -19,7 +19,6 @@ __all__ = [
     "RouteEdge",
     "RouteTree",
     "mst_parents",
-    "build_route_points",
     "CongestionGrid",
     "NetRC",
     "extract_rc",
