@@ -377,10 +377,20 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
                 design, router, baseline, base_report, seeds, config,
                 sta=timing)
 
-        with _stage("flow.route_mls", stages, nets=len(requested)):
-            router, routing = route_with_mls(design, requested,
-                                             config.route)
-            final_report = timing.update_routing()
+        # An empty selection would route exactly the baseline again:
+        # reuse it and its timing.  The exact-slack oracle rewrites the
+        # baseline's maps in place (reroute, then restore), so it keeps
+        # the fresh route.
+        reuse = not requested and not (config.selector == "oracle"
+                                       and config.oracle_exact_slack)
+        with _stage("flow.route_mls", stages, nets=len(requested),
+                    reused=reuse):
+            if reuse:
+                routing, final_report = baseline, base_report
+            else:
+                router, routing = route_with_mls(design, requested,
+                                                 config.route)
+                final_report = timing.update_routing()
 
         if config.selector == "gnn" and model is not None:
             from repro.core.hypergraph import build_path_graph

@@ -16,7 +16,7 @@ from repro.design import Design
 from repro.netlist.net import Net
 from repro.parallel import ParallelConfig, snapshot_map
 from repro.route.router import GlobalRouter, RoutingResult
-from repro.timing.incremental import IncrementalSta, net_whatif_delta
+from repro.timing.incremental import IncrementalSta, nets_whatif_delta
 
 #: A net must improve its worst sink by at least this much (ps) to be
 #: selected — hysteresis against churn on near-zero deltas.
@@ -56,12 +56,10 @@ def _whatif_chunk(state, names: list[str]) -> list[tuple[str, float, bool]]:
     independent and the fan-out is bit-equivalent to the serial loop.
     """
     design, router, result = state
-    out = []
-    for name in names:
-        delta = net_whatif_delta(design, router, result,
-                                 design.netlist.net(name))
-        out.append((name, delta.worst_delta_ps(), delta.applied))
-    return out
+    deltas = nets_whatif_delta(design, router, result,
+                               [design.netlist.net(name) for name in names])
+    return [(name, delta.worst_delta_ps(), delta.applied)
+            for name, delta in zip(names, deltas)]
 
 
 def oracle_labels(design: Design, router: GlobalRouter,
@@ -89,8 +87,8 @@ def oracle_labels(design: Design, router: GlobalRouter,
                                     applied=applied,
                                     label=1 if good else 0)
         return labels
-    for net in nets:
-        delta = net_whatif_delta(design, router, result, net)
+    for net, delta in zip(nets, nets_whatif_delta(design, router, result,
+                                                  nets)):
         worst = delta.worst_delta_ps()
         good = delta.applied and worst <= -gain_eps_ps
         labels[net.name] = NetLabel(net_name=net.name, delta_ps=worst,

@@ -93,8 +93,19 @@ def net_whatif_delta(design: Design, router: GlobalRouter,
     congestion state without committing either, so neither the routing
     result nor the grid changes.
     """
-    rc_off, rc_on, applied = router.probe_net(result, net)
+    return nets_whatif_delta(design, router, result, [net])[0]
 
+
+def nets_whatif_delta(design: Design, router: GlobalRouter,
+                      result: RoutingResult, nets: list[Net]
+                      ) -> list[WhatIfDelta]:
+    """:func:`net_whatif_delta` of every net of *nets*, probed in one
+    :meth:`~repro.route.GlobalRouter.probe_nets` batch."""
+    return [_whatif(net, *probe) for net, probe
+            in zip(nets, router.probe_nets(result, nets))]
+
+
+def _whatif(net: Net, rc_off, rc_on, applied: bool) -> WhatIfDelta:
     drive = _driver_resistance(net)
     delta_driver = drive * (rc_on.load_ff - rc_off.load_ff) / 1000.0
     delta_sinks = {

@@ -342,6 +342,39 @@ class TestFlowTracing:
         assert "sta.inc.frontier" in snap["stats"]
         assert "place.factor_s" in snap["stats"]
 
+    def test_route_and_dft_child_timers_present(self, traced_flow):
+        stats = metrics.snapshot()["stats"]
+        for name in ROUTE_TIMERS + ("dft.repair_s", "dft.eco_reroute_s"):
+            assert stats[name]["count"] > 0, name
+            assert stats[name]["min"] >= 0.0, name
+
+
+#: Child attribution of every route kernel call.
+ROUTE_TIMERS = ("route.geometry_s", "route.assign_s", "route.rc_s",
+                "route.commit_s")
+
+
+class TestRouteAttribution:
+    def test_timers_sum_within_route_all_span(self, hetero_tech):
+        from repro.route import GlobalRouter
+        from tests.conftest import build_small_design
+        design = build_small_design(hetero_tech, routed=False)
+        metrics.reset()
+        trace.enable()
+        trace.reset()
+        try:
+            GlobalRouter(design).route_all()
+            records = list(trace.records)
+        finally:
+            trace.disable()
+            trace.reset()
+        [span] = by_name(records)["route.all"]
+        stats = metrics.snapshot()["stats"]
+        for name in ROUTE_TIMERS:
+            assert stats[name]["count"] == 1, name
+        total = sum(stats[name]["total"] for name in ROUTE_TIMERS)
+        assert 0.0 < total <= span["dur_us"] * 1e-6
+
 
 class TestTracingDeterminism:
     def test_rows_bit_identical_with_tracing_on(self, hetero_tech):
@@ -379,12 +412,16 @@ class TestCliRoundTrip:
 
         summary = validate_trace_jsonl(jsonl)
         assert summary["spans"] > 0
-        names = set()
-        with open(jsonl, encoding="utf-8") as fh:
-            for line in fh:
-                names.add(json.loads(line)["name"])
+        spans = by_name([json.loads(line)
+                         for line in jsonl.read_text().splitlines()])
         assert {"flow", "flow.prepare", "route.all", "flow.select",
-                "sta.update_routing"} <= names
+                "flow.route_mls"} <= set(spans)
+        # No MLS nets selected: the baseline routing and timing are
+        # reused exactly, so one full route and no STA update.
+        [route_mls] = spans["flow.route_mls"]
+        assert route_mls["attrs"]["reused"] is True
+        assert len(spans["route.all"]) == 1
+        assert "sta.update_routing" not in spans
         chrome = chrome_trace_path(jsonl)
         assert validate_chrome_trace(chrome)["events"] == summary["spans"]
         msummary = validate_metrics(mjson)
