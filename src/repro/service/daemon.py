@@ -86,6 +86,10 @@ PROTOCOL_VERSION = 2
 #: ``service.requests.unknown``, so clients cannot mint metric names.
 OPS = ("ping", "health", "status", "metrics", "shutdown", "flow")
 
+#: Longest request line in bytes (the stream reader's buffer limit); a
+#: longer line is skipped whole and answered with one error line.
+MAX_REQUEST_BYTES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -98,6 +102,29 @@ class ServiceConfig:
     #: Concurrent flow executions.  1 keeps traces well-nested and
     #: benchmark wall-clocks honest; raise it for throughput.
     flow_workers: int = 1
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (``b""`` at end of stream), or ``None``
+    for a line over the reader's limit — consumed whole, so the next
+    call starts at the following line."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        overrun = exc.consumed
+    while True:
+        # Drop what the reader holds of the long line, then look for
+        # its end again.
+        try:
+            await reader.readexactly(overrun)
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            overrun = exc.consumed
 
 
 class FlowService:
@@ -130,7 +157,8 @@ class FlowService:
         path = Path(self.config.socket_path)
         await self._claim_socket(path)
         server = await asyncio.start_unix_server(self._handle_conn,
-                                                 path=str(path))
+                                                 path=str(path),
+                                                 limit=MAX_REQUEST_BYTES)
         workers = [asyncio.create_task(self._worker())
                    for _ in range(self.config.flow_workers)]
         # Crash forensics for the daemon's whole lifetime: recent spans
@@ -177,10 +205,13 @@ class FlowService:
                            writer: asyncio.StreamWriter) -> None:
         try:
             while not self._stop.is_set():
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
                 try:
+                    if line is None:
+                        raise ServiceError(f"request line longer than "
+                                           f"{MAX_REQUEST_BYTES} bytes")
                     response = await self._dispatch(json.loads(line))
                 except (FlowError, ValueError, KeyError, TypeError,
                         RecursionError) as exc:

@@ -583,6 +583,34 @@ class TestRequestDecoding:
         assert status["inflight"] == 0
         assert daemon.client().ping()["ok"]
 
+    def test_over_long_line_gets_one_answer(self, daemon):
+        """A request line past the reader's 64 KiB limit — alone, sent
+        in pieces, or followed by a good request in the same write — is
+        skipped whole and answered with one error line; the connection
+        stays usable."""
+        from repro.service.daemon import MAX_REQUEST_BYTES
+        long_line = (b'{"op": "ping", "pad": "'
+                     + b"x" * (3 * MAX_REQUEST_BYTES) + b'"}\n')
+        ping = b'{"op": "ping"}\n'
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(daemon.socket_path)
+            stream = sock.makefile("rb")
+            sends = [[long_line],
+                     [long_line[:1000], long_line[1000:]],
+                     [long_line + ping]]
+            for chunks in sends:
+                for chunk in chunks:
+                    sock.sendall(chunk)
+                response = json.loads(stream.readline())
+                assert response["ok"] is False
+                assert "longer than" in response["error"]
+                if chunks[-1].endswith(ping):
+                    assert json.loads(stream.readline())["ok"]
+            sock.sendall(ping)
+            assert json.loads(stream.readline())["ok"]
+        assert daemon.client().ping()["ok"]
+
     @pytest.mark.parametrize("field", _FIELD_NAMES)
     def test_cli_and_daemon_reject_the_same_value(self, daemon, field,
                                                   capsys):
