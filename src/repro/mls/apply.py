@@ -54,10 +54,10 @@ def apply_mls_incremental(design: Design, router: GlobalRouter,
         x0, y0, x1, y1 = design.require_placement().net_bbox(net)
         return (x1 - x0) + (y1 - y0)
 
-    for name in sorted(remove, key=lambda n: (-hpwl(n), n)):
-        router.reroute_net(result, netlist.net(name), mls=False)
-    for name in sorted(add, key=lambda n: (-hpwl(n), n)):
-        router.reroute_net(result, netlist.net(name), mls=True)
+    off = sorted(remove, key=lambda n: (-hpwl(n), n))
+    on = sorted(add, key=lambda n: (-hpwl(n), n))
+    router.route_nets(result, [netlist.net(name) for name in off + on],
+                      [False] * len(off) + [True] * len(on))
     if sta is not None:
         sta.update(add | remove)
     return result

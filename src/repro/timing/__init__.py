@@ -16,7 +16,7 @@ from repro.timing.graph import TimingCsr, TimingGraph, build_timing_graph
 from repro.timing.sta import TimingReport, run_sta
 from repro.timing.paths import TimingPath, extract_worst_paths
 from repro.timing.incremental import (IncrementalSta, WhatIfDelta,
-                                      net_whatif_delta)
+                                      net_whatif_delta, nets_whatif_delta)
 
 __all__ = [
     "cell_output_delay",
@@ -32,4 +32,5 @@ __all__ = [
     "IncrementalSta",
     "WhatIfDelta",
     "net_whatif_delta",
+    "nets_whatif_delta",
 ]
