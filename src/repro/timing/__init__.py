@@ -12,7 +12,7 @@ consume it, exactly as the paper's flow consumes commercial STA.
 """
 
 from repro.timing.delay import cell_output_delay, setup_time, PORT_DRIVE_RES
-from repro.timing.graph import TimingCsr, TimingGraph, build_timing_graph
+from repro.timing.graph import TimingGraph, build_timing_graph
 from repro.timing.sta import TimingReport, run_sta
 from repro.timing.paths import TimingPath, extract_worst_paths
 from repro.timing.incremental import (IncrementalSta, WhatIfDelta,
@@ -22,7 +22,6 @@ __all__ = [
     "cell_output_delay",
     "setup_time",
     "PORT_DRIVE_RES",
-    "TimingCsr",
     "TimingGraph",
     "build_timing_graph",
     "TimingReport",

@@ -1,4 +1,4 @@
-"""Pin-level timing graph construction.
+"""Pin-level timing graph: levelized edge arrays.
 
 Nodes are pins (instance pins + port pins).  Arcs:
 
@@ -13,47 +13,62 @@ Nodes are pins (instance pins + port pins).  Arcs:
 
 Clock pins / nets are ideal (zero skew) and never propagate.  Scan-
 enable pins are false paths.
+
+The graph is flat arrays, built in two steps.  One pass over the
+netlist collects the arcs in construction order: net arcs net by net,
+then cell arcs instance by instance.  Array operations then peel the
+pins level by level — a pin joins level ``L`` once all its
+predecessors are placed, so ``L`` is its longest-path depth, and a
+combinational cycle leaves pins unplaced and raises
+:class:`TimingError`.  Level-0 pins rank by index; the pins of a later
+level rank by the serial position of their last in-arc.  That is the
+pop order of a FIFO Kahn walk over per-pin fanout lists, and edges are
+stored in its **serial order**: by the rank of the source, then
+construction position.  STA breaks ``worst_pred`` ties by that order,
+so it is part of the golden contract; ``tests/sta_oracle.py`` keeps
+the list-of-lists builder and the Kahn loop it must equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.design import Design
 from repro.errors import TimingError
 from repro.netlist.net import Pin
+from repro.obs import metrics, trace
 from repro.timing.delay import (cell_output_delay, port_drive_delay,
                                 setup_time)
 
 
-@dataclass
-class TimingCsr:
-    """Flat levelized edge arrays for vectorized STA.
+@dataclass(eq=False)
+class TimingGraph:
+    """Levelized timing graph over pin indices.
 
-    Edges are stored in **serial order** — the exact order the
-    reference Python loop visits them (topological order of the source
-    pin, then fanout-list position) — so the edge index doubles as the
-    serial tie-break key for ``worst_pred`` reconstruction.
+    Edges are in serial order, so the edge index doubles as the
+    ``worst_pred`` tie-break key.  The out-edges of pin ``u`` are edge
+    ids ``out_start[u]:out_end[u]``; its in-edges are
+    ``in_edges[in_start[u]:in_start[u + 1]]``, ascending.
 
     ``fwd_perm``/``fwd_starts`` group edges by the *destination* pin's
     level for the forward (arrival) sweep; ``bwd_perm``/``bwd_starts``
     group them by the *source* pin's level, highest first, for the
-    backward (required) sweep.  Because STA is a pure max/min semiring
-    over float64 (no order-dependent sums), per-level
-    ``np.maximum.at`` / ``np.minimum.at`` scatters reproduce the
-    serial loop bit-for-bit.
+    backward (required) sweep.
     """
 
-    n: int                          # pin count
+    pins: list[Pin]
+    pin_index: dict[str, int]       # pin full_name -> idx
     edge_src: np.ndarray            # int32 [E], serial edge order
     edge_dst: np.ndarray            # int32 [E]
     edge_delay: np.ndarray          # float64 [E], patched on reroute
-    #: Position of each edge inside fanout[src] / fanin[dst] — lets a
-    #: delay patch keep the list-of-lists graph consistent too.
-    edge_fout_pos: np.ndarray       # int32 [E]
-    edge_fin_pos: np.ndarray        # int32 [E]
+    num_net_arcs: int               # driver -> sink; the rest: cell arcs
+    out_start: np.ndarray           # int64 [n]
+    out_end: np.ndarray             # int64 [n]
+    in_edges: np.ndarray            # int32 [E] grouped by dst pin
+    in_start: np.ndarray            # int64 [n + 1]
     level: np.ndarray               # int32 [n], longest-path depth
     num_levels: int
     fwd_perm: np.ndarray            # int32 [E] grouped by level[dst]
@@ -66,232 +81,206 @@ class TimingCsr:
     ep_setup: np.ndarray            # float64 [P]
 
     @property
+    def num_pins(self) -> int:
+        return len(self.pins)
+
+    @property
     def num_edges(self) -> int:
         return int(self.edge_src.shape[0])
 
-    def edge_lookup(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(src, dst) -> serial edge ids (lazily built, then cached)."""
-        table = getattr(self, "_edge_lookup", None)
-        if table is None:
-            table = {}
-            for eid in range(self.num_edges):
-                key = (int(self.edge_src[eid]), int(self.edge_dst[eid]))
-                table.setdefault(key, []).append(eid)
-            table = {k: tuple(v) for k, v in table.items()}
-            self._edge_lookup = table
-        return table
 
-
-@dataclass
-class TimingGraph:
-    """Arrays-of-lists timing graph over pin indices."""
-
-    pins: list[Pin]
-    pin_index: dict[str, int]             # pin full_name -> idx
-    fanout: list[list[tuple[int, float]]]   # idx -> [(to, delay)]
-    fanin: list[list[tuple[int, float]]]    # idx -> [(from, delay)]
-    sources: list[tuple[int, float]]        # (idx, launch delay)
-    endpoints: list[tuple[int, float]]      # (idx, setup requirement)
-    topo: list[int]                        # topological pin order
-    _csr: TimingCsr | None = field(default=None, init=False, repr=False,
-                                   compare=False)
-
-    def index_of(self, pin: Pin) -> int:
-        try:
-            return self.pin_index[pin.full_name]
-        except KeyError:
-            raise TimingError(f"pin {pin.full_name} not in graph") from None
-
-    def csr(self) -> TimingCsr:
-        """The levelized CSR view (built on first use, then cached).
-
-        The CSR arrays alias the graph's *current* arc delays; holders
-        that patch delays (:class:`repro.timing.incremental.
-        IncrementalSta`) keep both representations in sync.
-        """
-        if self._csr is None:
-            self._csr = _build_csr(self)
-        return self._csr
-
-    def invalidate_csr(self) -> None:
-        """Drop the cached CSR view (after out-of-band arc edits)."""
-        self._csr = None
-
-
-def _build_csr(graph: TimingGraph) -> TimingCsr:
-    """Flatten the list-of-lists graph into levelized numpy arrays."""
-    n = len(graph.pins)
-    num_edges = sum(len(out) for out in graph.fanout)
-
-    # Longest-path level per pin: every edge goes level[u] -> > level[u].
-    level = np.zeros(n, dtype=np.int32)
-    for u in graph.topo:
-        lu = level[u] + 1
-        for v, _ in graph.fanout[u]:
-            if level[v] < lu:
-                level[v] = lu
-
-    # fanin positions: the k-th (u -> v) arc in fanout[u] is also the
-    # k-th (u -> v) arc in fanin[v] (add_arc appends to both at once).
-    fin_pos_map: dict[tuple[int, int], list[int]] = {}
-    for v in range(n):
-        for pos, (u, _) in enumerate(graph.fanin[v]):
-            fin_pos_map.setdefault((u, v), []).append(pos)
-
-    edge_src = np.empty(num_edges, dtype=np.int32)
-    edge_dst = np.empty(num_edges, dtype=np.int32)
-    edge_delay = np.empty(num_edges, dtype=np.float64)
-    edge_fout_pos = np.empty(num_edges, dtype=np.int32)
-    edge_fin_pos = np.empty(num_edges, dtype=np.int32)
-    seen: dict[tuple[int, int], int] = {}
-    eid = 0
-    for u in graph.topo:
-        for pos, (v, delay) in enumerate(graph.fanout[u]):
-            edge_src[eid] = u
-            edge_dst[eid] = v
-            edge_delay[eid] = delay
-            edge_fout_pos[eid] = pos
-            k = seen.get((u, v), 0)
-            seen[(u, v)] = k + 1
-            edge_fin_pos[eid] = fin_pos_map[(u, v)][k]
-            eid += 1
-
-    num_levels = int(level.max()) + 1 if n else 1
-    lev_dst = level[edge_dst]
-    fwd_perm = np.argsort(lev_dst, kind="stable").astype(np.int32)
-    counts = np.bincount(lev_dst, minlength=num_levels)
-    fwd_starts = np.concatenate(([0], np.cumsum(counts)))
-    lev_src = level[edge_src]
-    bwd_perm = np.argsort(-lev_src, kind="stable").astype(np.int32)
-    bcounts = np.bincount((num_levels - 1) - lev_src, minlength=num_levels)
-    bwd_starts = np.concatenate(([0], np.cumsum(bcounts)))
-
-    src_idx = np.array([i for i, _ in graph.sources], dtype=np.int32)
-    src_launch = np.array([d for _, d in graph.sources], dtype=np.float64)
-    ep_idx = np.array([i for i, _ in graph.endpoints], dtype=np.int32)
-    ep_setup = np.array([s for _, s in graph.endpoints], dtype=np.float64)
-    return TimingCsr(n=n, edge_src=edge_src, edge_dst=edge_dst,
-                     edge_delay=edge_delay, edge_fout_pos=edge_fout_pos,
-                     edge_fin_pos=edge_fin_pos, level=level,
-                     num_levels=num_levels, fwd_perm=fwd_perm,
-                     fwd_starts=fwd_starts, bwd_perm=bwd_perm,
-                     bwd_starts=bwd_starts, src_idx=src_idx,
-                     src_launch=src_launch, ep_idx=ep_idx,
-                     ep_setup=ep_setup)
+#: Scan enable: static in functional mode, so a false path.
+_FALSE_PATH_PIN = "SE"
 
 
 def _is_false_path_pin(pin: Pin) -> bool:
-    """Scan-enable pins are static in functional mode."""
-    return pin.owner is not None and pin.name == "SE"
+    return pin.owner is not None and pin.name == _FALSE_PATH_PIN
 
 
 def build_timing_graph(design: Design) -> TimingGraph:
     """Build the graph from the design's netlist + routing parasitics."""
+    with trace.span("sta.build_graph"):
+        t0 = time.perf_counter()
+        pins, pin_index, arcs, sources, endpoints = _collect_arcs(design)
+        t1 = time.perf_counter()
+        graph = _levelize(pins, pin_index, arcs, sources, endpoints)
+        metrics.add_time("sta.arcs_s", t1 - t0)
+        metrics.add_time("sta.order_s", time.perf_counter() - t1)
+    return graph
+
+
+def _collect_arcs(design: Design):
+    """Pins, arcs in construction order, sources and endpoints."""
     netlist = design.netlist
-    routing = design.require_routing()
+    rc_of = design.require_routing().rc
 
-    pins: list[Pin] = []
-    pin_index: dict[str, int] = {}
+    pins = [pin for inst in netlist.instances.values()
+            for pin in inst.pins.values()]
+    pins.extend(port.pin for port in netlist.ports.values())
+    names = [pin.full_name for pin in pins]
+    pin_index = {name: idx for idx, name in enumerate(names)}
+    # Identity lookup for this pass: no name is formatted twice.
+    index_of = {id(pin): idx for idx, pin in enumerate(pins)}
 
-    def register(pin: Pin) -> int:
-        idx = pin_index.get(pin.full_name)
-        if idx is None:
-            idx = len(pins)
-            pins.append(pin)
-            pin_index[pin.full_name] = idx
-        return idx
-
-    for inst in netlist.instances.values():
-        for pin in inst.pins.values():
-            register(pin)
-    for port in netlist.ports.values():
-        register(port.pin)
-
-    fanout: list[list[tuple[int, float]]] = [[] for _ in pins]
-    fanin: list[list[tuple[int, float]]] = [[] for _ in pins]
-
-    def add_arc(src: int, dst: int, delay: float) -> None:
-        fanout[src].append((dst, delay))
-        fanin[dst].append((src, delay))
+    src: list[int] = []
+    dst: list[int] = []
+    delay: list[float] = []
 
     # Net arcs.
     for net in netlist.signal_nets():
         if net.driver is None:
             continue
-        rc = routing.rc.get(net.name)
-        src = pin_index[net.driver.full_name]
+        rc = rc_of.get(net.name)
+        wire = rc.sink_delay_ps if rc is not None else {}
+        drv = index_of[id(net.driver)]
         for sink in net.sinks:
             if _is_false_path_pin(sink):
                 continue
-            wire = 0.0
-            if rc is not None:
-                wire = rc.sink_delay_ps.get(sink.full_name, 0.0)
-            add_arc(src, pin_index[sink.full_name], wire)
+            idx = index_of[id(sink)]
+            src.append(drv)
+            dst.append(idx)
+            delay.append(wire.get(names[idx], 0.0))
+
+    num_net_arcs = len(src)
 
     # Cell arcs for combinational cells.
-    sources: list[tuple[int, float]] = []
-    endpoints: list[tuple[int, float]] = []
+    src_idx: list[int] = []
+    src_launch: list[float] = []
+    ep_idx: list[int] = []
+    ep_setup: list[float] = []
     for inst in netlist.instances.values():
         out_pin = inst.output_pin
         out_net = out_pin.net
         load = 0.0
         if out_net is not None:
-            rc = routing.rc.get(out_net.name)
+            rc = rc_of.get(out_net.name)
             load = rc.load_ff if rc is not None else out_net.sink_cap_ff()
-        delay = cell_output_delay(inst.cell, load)
-        out_idx = pin_index[out_pin.full_name]
+        cell_delay = cell_output_delay(inst.cell, load)
+        out_idx = index_of[id(out_pin)]
         if inst.is_sequential:
-            sources.append((out_idx, delay))    # clk->q launch
+            src_idx.append(out_idx)             # clk->q launch
+            src_launch.append(cell_delay)
             req = setup_time(inst.cell)
             for pin in inst.input_pins():
                 if _is_false_path_pin(pin) or pin.name == "SI":
                     continue    # scan shift is checked at scan speed
-                endpoints.append((pin_index[pin.full_name], req))
+                ep_idx.append(index_of[id(pin)])
+                ep_setup.append(req)
         else:
             for pin in inst.input_pins():
                 if _is_false_path_pin(pin):
                     continue
-                add_arc(pin_index[pin.full_name], out_idx, delay)
+                src.append(index_of[id(pin)])
+                dst.append(out_idx)
+                delay.append(cell_delay)
 
     # Ports.
     for port in netlist.ports.values():
-        idx = pin_index[port.pin.full_name]
         if port.false_path:
             continue
+        idx = index_of[id(port.pin)]
         if port.direction == "in":
-            if port.pin.net is not None and port.pin.net.is_clock:
-                continue    # ideal clock source: not a data source
             net = port.pin.net
-            load = 0.0
-            if net is not None:
-                rc = routing.rc.get(net.name)
-                load = rc.load_ff if rc is not None else 0.0
-            sources.append((idx, port_drive_delay(load)))
+            if net is not None and net.is_clock:
+                continue    # ideal clock source: not a data source
+            rc = rc_of.get(net.name) if net is not None else None
+            src_idx.append(idx)
+            src_launch.append(port_drive_delay(
+                rc.load_ff if rc is not None else 0.0))
         else:
-            endpoints.append((idx, 0.0))
+            ep_idx.append(idx)
+            ep_setup.append(0.0)
 
-    topo = _topological_pins(pins, fanin, fanout)
-    return TimingGraph(pins=pins, pin_index=pin_index, fanout=fanout,
-                       fanin=fanin, sources=sources, endpoints=endpoints,
-                       topo=topo)
+    arcs = (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            np.array(delay, dtype=np.float64), num_net_arcs)
+    sources = (np.array(src_idx, dtype=np.int32),
+               np.array(src_launch, dtype=np.float64))
+    endpoints = (np.array(ep_idx, dtype=np.int32),
+                 np.array(ep_setup, dtype=np.float64))
+    return pins, pin_index, arcs, sources, endpoints
 
 
-def _topological_pins(pins, fanin, fanout) -> list[int]:
-    """Kahn's algorithm over pin arcs; raises on cycles."""
-    n = len(pins)
-    indeg = [len(fanin[i]) for i in range(n)]
-    ready = [i for i in range(n) if indeg[i] == 0]
-    order: list[int] = []
-    head = 0
-    while head < len(ready):
-        u = ready[head]
-        head += 1
-        order.append(u)
-        for v, _ in fanout[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if len(order) != n:
+def _offsets(keys: np.ndarray, size: int) -> np.ndarray:
+    """Start offsets of the groups of *keys* (values in ``range(size)``)."""
+    out = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=out[1:])
+    return out
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` over the (start, count) pairs."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) \
+        + np.arange(int(ends[-1]) if ends.size else 0)
+
+
+def _serial_order(n: int, src: np.ndarray, dst: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(level, serial permutation) of the arcs ``src[i] -> dst[i]``.
+
+    Peels the pins level by level.  Each frontier is kept in rank
+    order, so its out-arcs — each pin's in construction order — come
+    out in serial order; a pin of the next level becomes ready at its
+    last in-arc, whose position ranks it.
+    """
+    by_src = np.argsort(src, kind="stable")
+    out_ptr = _offsets(src, n)
+    indeg = np.bincount(dst, minlength=n)
+    level = np.zeros(n, dtype=np.int32)
+    frontier = np.flatnonzero(indeg == 0)
+    placed = frontier.size
+    chunks = []
+    depth = 0
+    while frontier.size:
+        starts = out_ptr[frontier]
+        eids = by_src[_ranges(starts, out_ptr[frontier + 1] - starts)]
+        if not eids.size:
+            break
+        chunks.append(eids)
+        targets = dst[eids]
+        pins, first_rev, hits = np.unique(
+            targets[::-1], return_index=True, return_counts=True)
+        indeg[pins] -= hits
+        ready = indeg[pins] == 0
+        last = (targets.size - 1) - first_rev[ready]
+        frontier = pins[ready][np.argsort(last)]
+        depth += 1
+        level[frontier] = depth
+        placed += frontier.size
+    if placed != n:
         raise TimingError(
-            f"timing graph has a cycle: ordered {len(order)}/{n} pins")
-    return order
+            f"timing graph has a cycle: ordered {placed}/{n} pins")
+    serial = np.concatenate(chunks) if chunks \
+        else np.empty(0, dtype=np.int64)
+    return level, serial
+
+
+def _levelize(pins, pin_index, arcs, sources, endpoints) -> TimingGraph:
+    """Order the collected arcs and lay out every index array."""
+    n = len(pins)
+    src, dst, delay, num_net_arcs = arcs
+    level, serial = _serial_order(n, src, dst)
+    edge_src = src[serial].astype(np.int32)
+    edge_dst = dst[serial].astype(np.int32)
+
+    # Serial order sorts by source, so each pin's out-edges are one run.
+    out_start = np.zeros(n, dtype=np.int64)
+    heads = np.flatnonzero(np.diff(edge_src, prepend=-1))
+    out_start[edge_src[heads]] = heads
+    out_end = out_start + np.bincount(edge_src, minlength=n)
+
+    num_levels = int(level.max()) + 1 if n else 1
+    lev_dst = level[edge_dst]
+    lev_src = level[edge_src]
+    return TimingGraph(
+        pins=pins, pin_index=pin_index, edge_src=edge_src,
+        edge_dst=edge_dst, edge_delay=delay[serial],
+        num_net_arcs=num_net_arcs, out_start=out_start, out_end=out_end,
+        in_edges=np.argsort(edge_dst, kind="stable").astype(np.int32),
+        in_start=_offsets(edge_dst, n), level=level, num_levels=num_levels,
+        fwd_perm=np.argsort(lev_dst, kind="stable").astype(np.int32),
+        fwd_starts=_offsets(lev_dst, num_levels),
+        bwd_perm=np.argsort(-lev_src, kind="stable").astype(np.int32),
+        bwd_starts=_offsets((num_levels - 1) - lev_src, num_levels),
+        src_idx=sources[0], src_launch=sources[1],
+        ep_idx=endpoints[0], ep_setup=endpoints[1])

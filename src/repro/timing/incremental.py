@@ -9,7 +9,7 @@ Two engines live here:
   this primitive.
 
 * :class:`IncrementalSta` — an **exact** incremental STA over the
-  levelized CSR timing graph.  ``update(changed_nets)`` patches only
+  levelized timing graph.  ``update(changed_nets)`` patches only
   the arc delays the reroutes actually touched (net arcs + the driver
   cell's load-dependent arcs + load-dependent launch delays), seeds a
   frontier from those pins, and re-propagates forward/backward only
@@ -21,17 +21,22 @@ Two engines live here:
   graph's structure is routing-invariant, so reroutes are pure delay
   patches.  **Structural netlist edits** (buffer insertion, scan
   stitching, DFT net splitting, level shifters) add or remove pins
-  and arcs and require a fresh :class:`IncrementalSta`; ``update``
-  detects unknown pins/arcs and raises :class:`TimingError` rather
-  than returning a stale report.
+  and arcs and require a fresh :class:`IncrementalSta`.  ``update``
+  checks every named net's arcs against the graph — a net's wire arcs
+  are its driver's out-edges, its load-dependent cell arcs the
+  driver's in-edges — and raises :class:`TimingError` on any added,
+  removed or moved arc rather than returning a stale report.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 from repro.design import Design
 from repro.errors import TimingError
@@ -40,9 +45,9 @@ from repro.obs import metrics, trace
 from repro.route.router import GlobalRouter, RoutingResult
 from repro.timing.delay import (PORT_DRIVE_RES, cell_output_delay,
                                 port_drive_delay)
-from repro.timing.graph import (TimingGraph, _is_false_path_pin,
-                                build_timing_graph)
-from repro.timing.sta import TimingReport, _propagate_csr
+from repro.timing.graph import (_FALSE_PATH_PIN, _is_false_path_pin,
+                                _ranges, build_timing_graph)
+from repro.timing.sta import TimingReport, propagate
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
@@ -122,149 +127,145 @@ class IncrementalSta:
 
     Build once per (netlist structure, clock period); call
     :meth:`update` after targeted reroutes with the affected net
-    names, or :meth:`update_routing` after a full re-route (it diffs
-    every net's parasitics and patches only real changes).  Both
+    names, or :meth:`update_routing` after a full re-route (it
+    recomputes every arc delay and patches only real changes).  Both
     return a report equal to a from-scratch :func:`run_sta`.
 
-    The engine keeps the shared :class:`TimingGraph` (list-of-lists
-    *and* CSR views) consistent with every patch, so the graph can
-    still be handed to :func:`run_sta` directly at any time.
+    Patches land in the graph's own ``edge_delay``/``src_launch``
+    arrays, so ``self.graph`` always holds the current delays.
     """
 
-    def __init__(self, design: Design, graph: TimingGraph | None = None):
+    def __init__(self, design: Design):
         self.design = design
-        self.graph = graph if graph is not None else \
-            build_timing_graph(design)
-        self.csr = self.graph.csr()
+        self.graph = graph = build_timing_graph(design)
         self.period = design.clock_period_ps
 
-        n = self.csr.n
-        # Serial-order edge adjacency (eid lists ascending == the
-        # order the reference loop visits arcs into/out of each pin).
-        self._fanin_e: list[list[int]] = [[] for _ in range(n)]
-        self._fanout_e: list[list[int]] = [[] for _ in range(n)]
-        edge_src, edge_dst = self.csr.edge_src, self.csr.edge_dst
-        for eid in range(self.csr.num_edges):
-            self._fanout_e[edge_src[eid]].append(eid)
-            self._fanin_e[edge_dst[eid]].append(eid)
-        self._edge_ids = self.csr.edge_lookup()
-        #: Plain-float shadow of csr.edge_delay for fast scalar reads.
-        self._delay: list[float] = self.csr.edge_delay.tolist()
-
-        self._rank = [0] * n
-        for r, u in enumerate(self.graph.topo):
-            self._rank[u] = r
+        # Pins by identity: a pin object the graph was not built from
+        # is a structural change, whatever its name.
+        self._index_of = {id(pin): idx for idx, pin in enumerate(graph.pins)}
+        self._names = list(graph.pin_index)     # in index order
+        # Plain-list shadows of the graph for the scalar frontier loops.
+        self._delay: list[float] = graph.edge_delay.tolist()
+        self._edge_src: list[int] = graph.edge_src.tolist()
+        self._edge_dst: list[int] = graph.edge_dst.tolist()
+        self._in_edges: list[int] = graph.in_edges.tolist()
+        self._in_start: list[int] = graph.in_start.tolist()
+        self._out_start: list[int] = graph.out_start.tolist()
+        self._out_end: list[int] = graph.out_end.tolist()
+        self._level: list[int] = graph.level.tolist()
 
         # Launch and endpoint constraints, replicating run_sta's init.
-        self._launch: dict[int, float] = {}
-        self._src_pos: dict[int, int] = {}
-        for pos, (idx, launch) in enumerate(self.graph.sources):
-            if launch > self._launch.get(idx, _NEG_INF):
-                self._launch[idx] = launch
-            self._src_pos[idx] = pos
-        self._req_init: dict[int, float] = {}
-        self._ep_entry: dict[int, tuple[str, float]] = {}
-        for idx, setup in self.graph.endpoints:
-            req = self.period - setup
-            self._req_init[idx] = min(self._req_init.get(idx, _POS_INF),
-                                      req)
-            self._ep_entry[idx] = (self.graph.pins[idx].full_name, req)
+        # A pin launches (sequential output, input port) or captures
+        # (data pin, output port) at most once.
+        src_idx = graph.src_idx.tolist()
+        self._launch = dict(zip(src_idx, graph.src_launch.tolist()))
+        self._src_pos = {idx: pos for pos, idx in enumerate(src_idx)}
+        self._bind_endpoints()
 
-        arrival, required, endpoint_slack, worst_pred = \
-            _propagate_csr(self.graph, self.period)
-        self._arrival = arrival
-        self._required = required
-        self._worst_pred = worst_pred
-        self._endpoint_slack = endpoint_slack
+    def _bind_endpoints(self) -> None:
+        """Required times at the current period, then a full pass."""
+        graph = self.graph
+        self._req_init = {idx: self.period - setup for idx, setup in
+                          zip(graph.ep_idx.tolist(), graph.ep_setup.tolist())}
+        self._arrival, self._required, self._endpoint_slack, \
+            self._worst_pred = propagate(graph, self.period)
 
     # -- arc-delay patching --------------------------------------------------
 
-    def _pin_idx(self, full_name: str) -> int:
-        try:
-            return self.graph.pin_index[full_name]
-        except KeyError:
-            raise TimingError(
-                f"pin {full_name} not in timing graph — the netlist "
-                f"changed structurally; rebuild the IncrementalSta"
-            ) from None
+    def _structural(self, what: str) -> TimingError:
+        return TimingError(
+            f"{what} — the netlist changed structurally; rebuild the "
+            f"IncrementalSta")
 
-    def _net_arc_updates(self, net: Net
-                         ) -> tuple[list[tuple[int, int, float]],
-                                    tuple[int, float] | None]:
-        """(arc updates, launch update) implied by *net*'s current RC.
+    def _arc_delays(self, nets: Iterable[Net], every_net: bool):
+        """(edge ids, delays, source positions, launches) of *nets* now.
 
-        Mirrors ``build_timing_graph`` exactly: the net's wire arcs,
-        the driver cell's load-dependent arcs (combinational) or
-        launch delay (sequential / input port).
+        Mirrors ``build_timing_graph``: a net's wire arcs are its
+        driver's out-edges, in sink order; the driver cell's
+        load-dependent arcs are the driver's in-edges (combinational)
+        or its launch delay (sequential / input port).  Raises
+        :class:`TimingError` unless each net still has exactly the
+        graph's arcs: the same count, and for wire arcs the same sinks.
+        Pins match by identity.  A cell's input pins are its own, so
+        the count pins its arcs.  With *every_net* (all signal nets),
+        the wire arcs must also cover the graph's: a net that lost its
+        driver leaves arcs no driver's range accounts for.
         """
-        routing = self.design.require_routing()
-        rc = routing.rc.get(net.name)
-        updates: list[tuple[int, int, float]] = []
-        launch: tuple[int, float] | None = None
-        driver = net.driver
-        if driver is None or net.is_clock:
-            return updates, launch
-        src = self._pin_idx(driver.full_name)
-        for sink in net.sinks:
-            if _is_false_path_pin(sink):
+        rc_of = self.design.require_routing().rc
+        index_of, names = self._index_of, self._names
+        out_start, out_end = self._out_start, self._out_end
+        in_start = self._in_start
+        starts, counts, sinks, delays = [], [], [], []
+        cell_starts, cell_counts, cell_delays = [], [], []
+        src_pos, launches = [], []
+        for net in nets:
+            driver = net.driver
+            if driver is None or net.is_clock:
                 continue
-            wire = 0.0
-            if rc is not None:
-                wire = rc.sink_delay_ps.get(sink.full_name, 0.0)
-            updates.append((src, self._pin_idx(sink.full_name), wire))
+            drv = index_of.get(id(driver))
+            if drv is None:
+                raise self._structural(
+                    f"pin {driver.full_name} not in timing graph")
+            rc = rc_of.get(net.name)
+            wire = rc.sink_delay_ps if rc is not None else {}
+            count = 0
+            for sink in net.sinks:
+                if _is_false_path_pin(sink):
+                    continue
+                idx = index_of.get(id(sink), -1)
+                sinks.append(idx)
+                delays.append(wire.get(names[idx], 0.0))
+                count += 1
+            if count != out_end[drv] - out_start[drv]:
+                raise self._structural(
+                    f"net {net.name} has {count} timing arcs, the graph "
+                    f"{out_end[drv] - out_start[drv]}")
+            starts.append(out_start[drv])
+            counts.append(count)
 
-        inst = driver.owner
-        if inst is None:                     # input-port pad driver
-            port = driver.port
-            if port is not None and not port.false_path:
-                load = rc.load_ff if rc is not None else 0.0
-                launch = (src, port_drive_delay(load))
-        else:
+            inst = driver.owner
+            if inst is None:                     # input-port pad driver
+                port = driver.port
+                if port is not None and not port.false_path:
+                    src_pos.append(self._src_pos[drv])
+                    launches.append(port_drive_delay(
+                        rc.load_ff if rc is not None else 0.0))
+                continue
             load = rc.load_ff if rc is not None else net.sink_cap_ff()
             delay = cell_output_delay(inst.cell, load)
             if inst.is_sequential:
-                launch = (src, delay)
-            else:
-                for pin in inst.input_pins():
-                    if _is_false_path_pin(pin):
-                        continue
-                    updates.append((self._pin_idx(pin.full_name), src,
-                                    delay))
-        return updates, launch
+                src_pos.append(self._src_pos[drv])
+                launches.append(delay)
+                continue
+            inputs = inst.cell.inputs
+            count = len(inputs) - (_FALSE_PATH_PIN in inputs)
+            if count != in_start[drv + 1] - in_start[drv]:
+                raise self._structural(
+                    f"cell {inst.name} has {count} timing arcs, the "
+                    f"graph {in_start[drv + 1] - in_start[drv]}")
+            cell_starts.append(in_start[drv])
+            cell_counts.append(count)
+            cell_delays.append(delay)
 
-    def _patch_edge(self, eid: int, delay: float) -> None:
-        """Set one arc's delay in every view of the graph."""
-        metrics.inc("sta.inc.arcs_patched")
-        self._delay[eid] = delay
-        self.csr.edge_delay[eid] = delay
-        src = int(self.csr.edge_src[eid])
-        dst = int(self.csr.edge_dst[eid])
-        self.graph.fanout[src][self.csr.edge_fout_pos[eid]] = (dst, delay)
-        self.graph.fanin[dst][self.csr.edge_fin_pos[eid]] = (src, delay)
-
-    def _apply_net(self, net: Net, fwd: set[int], bwd: set[int]) -> None:
-        updates, launch = self._net_arc_updates(net)
-        for src, dst, delay in updates:
-            eids = self._edge_ids.get((src, dst))
-            if eids is None:
-                raise TimingError(
-                    f"arc {self.graph.pins[src].full_name} -> "
-                    f"{self.graph.pins[dst].full_name} not in timing "
-                    f"graph — the netlist changed structurally; "
-                    f"rebuild the IncrementalSta")
-            for eid in eids:
-                if self._delay[eid] != delay:
-                    self._patch_edge(eid, delay)
-                    fwd.add(dst)
-                    bwd.add(src)
-        if launch is not None:
-            idx, value = launch
-            if self._launch.get(idx, _NEG_INF) != value:
-                self._launch[idx] = value
-                pos = self._src_pos[idx]
-                self.graph.sources[pos] = (idx, value)
-                self.csr.src_launch[pos] = value
-                fwd.add(idx)
+        graph = self.graph
+        if every_net and sum(counts) != graph.num_net_arcs:
+            raise self._structural(f"the nets have {sum(counts)} wire "
+                                   f"arcs, the graph {graph.num_net_arcs}")
+        ints = np.int64
+        eids = _ranges(np.array(starts, ints), np.array(counts, ints))
+        moved = np.flatnonzero(graph.edge_dst[eids] != np.array(sinks, ints))
+        if moved.size:
+            eid = int(eids[moved[0]])
+            raise self._structural(
+                f"arc {self._names[self._edge_src[eid]]} -> "
+                f"{self._names[self._edge_dst[eid]]} left the netlist")
+        cell_counts = np.array(cell_counts, ints)
+        cell_eids = graph.in_edges[_ranges(np.array(cell_starts, ints),
+                                           cell_counts)]
+        return (np.concatenate((eids, cell_eids)),
+                np.concatenate((np.array(delays, np.float64),
+                                np.repeat(cell_delays, cell_counts))),
+                np.array(src_pos, ints), np.array(launches, np.float64))
 
     # -- frontier re-propagation ---------------------------------------------
 
@@ -274,8 +275,8 @@ class IncrementalSta:
         pred = -1
         arrival = self._arrival
         delay = self._delay
-        edge_src = self.csr.edge_src
-        for eid in self._fanin_e[v]:
+        edge_src = self._edge_src
+        for eid in self._in_edges[self._in_start[v]:self._in_start[v + 1]]:
             u = edge_src[eid]
             au = arrival[u]
             if au == _NEG_INF:
@@ -283,34 +284,39 @@ class IncrementalSta:
             cand = au + delay[eid]
             if cand > best:
                 best = cand
-                pred = int(u)
+                pred = u
         return best, pred
 
     def _recompute_required(self, u: int) -> float:
         best = self._req_init.get(u, _POS_INF)
         required = self._required
         delay = self._delay
-        edge_dst = self.csr.edge_dst
-        for eid in self._fanout_e[u]:
+        edge_dst = self._edge_dst
+        for eid in range(self._out_start[u], self._out_end[u]):
             cand = required[edge_dst[eid]] - delay[eid]
             if cand < best:
                 best = cand
         return best
 
     def _update_endpoint(self, idx: int) -> None:
-        entry = self._ep_entry.get(idx)
-        if entry is None:
+        req = self._req_init.get(idx)
+        if req is None:
             return
-        name, req = entry
         at = self._arrival[idx]
         if at == _NEG_INF:
-            self._endpoint_slack.pop(name, None)
+            self._endpoint_slack.pop(self._names[idx], None)
         else:
-            self._endpoint_slack[name] = req - at
+            self._endpoint_slack[self._names[idx]] = req - at
 
     def _repropagate(self, fwd: set[int], bwd: set[int]) -> None:
-        rank = self._rank
-        heap = [(rank[v], v) for v in fwd]
+        """Re-time the fan-out cone of *fwd* and fan-in cone of *bwd*.
+
+        Pins pop in level order (reversed for required times), so every
+        pin is recomputed after all of its predecessors (successors).
+        """
+        level = self._level
+        edge_src, edge_dst = self._edge_src, self._edge_dst
+        heap = [(level[v], v) for v in fwd]
         heapq.heapify(heap)
         queued = set(fwd)
         while heap:
@@ -321,13 +327,13 @@ class IncrementalSta:
             if new_a != self._arrival[v]:
                 self._arrival[v] = new_a
                 self._update_endpoint(v)
-                for eid in self._fanout_e[v]:
-                    d = int(self.csr.edge_dst[eid])
+                for eid in range(self._out_start[v], self._out_end[v]):
+                    d = edge_dst[eid]
                     if d not in queued:
                         queued.add(d)
-                        heapq.heappush(heap, (rank[d], d))
+                        heapq.heappush(heap, (level[d], d))
 
-        heap = [(-rank[u], u) for u in bwd]
+        heap = [(-level[u], u) for u in bwd]
         heapq.heapify(heap)
         queued = set(bwd)
         while heap:
@@ -336,11 +342,12 @@ class IncrementalSta:
             new_r = self._recompute_required(u)
             if new_r != self._required[u]:
                 self._required[u] = new_r
-                for eid in self._fanin_e[u]:
-                    s = int(self.csr.edge_src[eid])
+                for eid in self._in_edges[self._in_start[u]:
+                                          self._in_start[u + 1]]:
+                    s = edge_src[eid]
                     if s not in queued:
                         queued.add(s)
-                        heapq.heappush(heap, (-rank[s], s))
+                        heapq.heappush(heap, (-level[s], s))
 
     # -- public API ----------------------------------------------------------
 
@@ -352,52 +359,57 @@ class IncrementalSta:
         load arcs are patched automatically).  Returns a report equal
         to a from-scratch :func:`run_sta`.
         """
-        if self.design.clock_period_ps != self.period:
-            return self._rebind_period(changed_nets)
         netlist = self.design.netlist
-        fwd: set[int] = set()
-        bwd: set[int] = set()
-        for name in changed_nets:
-            self._apply_net(netlist.net(name), fwd, bwd)
-        metrics.inc("sta.inc.updates")
-        metrics.observe("sta.inc.frontier", len(fwd) + len(bwd))
-        if fwd or bwd:
-            self._repropagate(fwd, bwd)
-        return self.report()
+        return self._sync([netlist.net(name)
+                           for name in dict.fromkeys(changed_nets)],
+                          every_net=False)
 
     def update_routing(self) -> TimingReport:
         """Re-sync against the design's current routing result.
 
-        Diffs **every** signal net's parasitics against the stored arc
-        delays and patches only real changes — the cheap way to follow
-        a full re-route, where most nets route identically and only
-        the neighborhood of the toggled MLS nets actually moves.
+        Recomputes **every** signal net's arc delays in one pass and
+        patches only real changes — the cheap way to follow a full
+        re-route, where most nets route identically and only the
+        neighborhood of the toggled MLS nets actually moves.
         """
         with trace.span("sta.update_routing"):
-            return self.update(net.name
-                               for net in self.design.netlist.signal_nets())
+            return self._sync(self.design.netlist.signal_nets(),
+                              every_net=True)
 
-    def _rebind_period(self, changed_nets: Iterable[str]) -> TimingReport:
-        """Clock constraint changed: refresh constraints, full pass."""
-        self.period = self.design.clock_period_ps
-        self._req_init.clear()
-        self._ep_entry.clear()
-        for idx, setup in self.graph.endpoints:
-            req = self.period - setup
-            self._req_init[idx] = min(self._req_init.get(idx, _POS_INF),
-                                      req)
-            self._ep_entry[idx] = (self.graph.pins[idx].full_name, req)
-        netlist = self.design.netlist
-        fwd: set[int] = set()
-        bwd: set[int] = set()
-        for name in changed_nets:
-            self._apply_net(netlist.net(name), fwd, bwd)
-        arrival, required, endpoint_slack, worst_pred = \
-            _propagate_csr(self.graph, self.period)
-        self._arrival = arrival
-        self._required = required
-        self._worst_pred = worst_pred
-        self._endpoint_slack = endpoint_slack
+    def _sync(self, nets: list[Net], every_net: bool) -> TimingReport:
+        """Patch every arc and launch of *nets* whose delay moved, then
+        re-propagate from the patched pins."""
+        t0 = time.perf_counter()
+        eids, delays, src_pos, launches = self._arc_delays(nets, every_net)
+        graph = self.graph
+        moved = np.flatnonzero(graph.edge_delay[eids] != delays)
+        eids, delays = eids[moved], delays[moved]
+        graph.edge_delay[eids] = delays
+        if eids.size:
+            metrics.inc("sta.inc.arcs_patched", int(eids.size))
+        for eid, delay in zip(eids.tolist(), delays.tolist()):
+            self._delay[eid] = delay
+        fwd = set(graph.edge_dst[eids].tolist())     # arrival seeds
+        bwd = set(graph.edge_src[eids].tolist())     # required seeds
+        moved = np.flatnonzero(graph.src_launch[src_pos] != launches)
+        src_pos, launches = src_pos[moved], launches[moved]
+        graph.src_launch[src_pos] = launches
+        for idx, value in zip(graph.src_idx[src_pos].tolist(),
+                              launches.tolist()):
+            self._launch[idx] = value
+            fwd.add(idx)
+        t1 = time.perf_counter()
+        metrics.add_time("sta.inc.patch_s", t1 - t0)
+        if self.design.clock_period_ps != self.period:
+            # Clock constraint changed: refresh constraints, full pass.
+            self.period = self.design.clock_period_ps
+            self._bind_endpoints()
+            return self.report()
+        metrics.inc("sta.inc.updates")
+        metrics.observe("sta.inc.frontier", len(fwd) + len(bwd))
+        if fwd or bwd:
+            self._repropagate(fwd, bwd)
+        metrics.add_time("sta.inc.repropagate_s", time.perf_counter() - t1)
         return self.report()
 
     def report(self) -> TimingReport:

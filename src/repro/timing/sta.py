@@ -1,24 +1,25 @@
 """Arrival/required propagation and slack reporting.
 
-:func:`run_sta` propagates with per-level ``np.maximum.at`` /
-``np.minimum.at`` scatter passes over the graph's levelized CSR arrays
-(:meth:`repro.timing.graph.TimingGraph.csr`).
+:func:`run_sta` builds the levelized :class:`~repro.timing.graph.
+TimingGraph` and propagates with per-level ``np.maximum.at`` /
+``np.minimum.at`` scatter passes over its edge arrays.
 
 STA is a pure max/min semiring over float64 — there are no
-order-dependent floating-point sums — so the CSR kernel is
-**bit-identical** to a plain Python loop over the list-of-lists graph:
+order-dependent floating-point sums — so the kernel is
+**bit-identical** to a plain Python loop over per-pin fanout lists:
 arrivals, requireds, endpoint slacks and ``worst_pred`` tie-breaks
-(the CSR kernel reconstructs the loop's first-edge-to-reach-the-max
-winner from the edge order).  That loop lives in ``tests/sta_oracle.py``
-as the reference; the test suite and ``benchmarks/bench_sta.py
---smoke`` assert the equivalence.
+(the kernel reconstructs the loop's first-edge-to-reach-the-max
+winner from the serial edge order).  That loop and the list-of-lists
+graph it walks live in ``tests/sta_oracle.py`` as the reference; the
+test suite and ``benchmarks/bench_sta.py --smoke`` assert the
+equivalence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import math
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,35 +119,36 @@ class TimingReport:
         }
 
 
-def _forward_csr(csr) -> np.ndarray:
+def _forward(graph: TimingGraph) -> np.ndarray:
     """Vectorized arrival sweep: one maximum-scatter per level."""
-    arrival = np.full(csr.n, _NEG_INF, dtype=np.float64)
-    if csr.src_idx.size:
-        np.maximum.at(arrival, csr.src_idx, csr.src_launch)
-    for lev in range(1, csr.num_levels):
-        sel = csr.fwd_perm[csr.fwd_starts[lev]:csr.fwd_starts[lev + 1]]
+    arrival = np.full(graph.num_pins, _NEG_INF, dtype=np.float64)
+    if graph.src_idx.size:
+        np.maximum.at(arrival, graph.src_idx, graph.src_launch)
+    for lev in range(1, graph.num_levels):
+        sel = graph.fwd_perm[graph.fwd_starts[lev]:graph.fwd_starts[lev + 1]]
         if not sel.size:
             continue
-        cand = arrival[csr.edge_src[sel]] + csr.edge_delay[sel]
-        np.maximum.at(arrival, csr.edge_dst[sel], cand)
+        cand = arrival[graph.edge_src[sel]] + graph.edge_delay[sel]
+        np.maximum.at(arrival, graph.edge_dst[sel], cand)
     return arrival
 
 
-def _backward_csr(csr, period: float) -> np.ndarray:
+def _backward(graph: TimingGraph, period: float) -> np.ndarray:
     """Vectorized required sweep: one minimum-scatter per level."""
-    required = np.full(csr.n, _POS_INF, dtype=np.float64)
-    if csr.ep_idx.size:
-        np.minimum.at(required, csr.ep_idx, period - csr.ep_setup)
-    for group in range(csr.num_levels):
-        sel = csr.bwd_perm[csr.bwd_starts[group]:csr.bwd_starts[group + 1]]
+    required = np.full(graph.num_pins, _POS_INF, dtype=np.float64)
+    if graph.ep_idx.size:
+        np.minimum.at(required, graph.ep_idx, period - graph.ep_setup)
+    for group in range(graph.num_levels):
+        sel = graph.bwd_perm[graph.bwd_starts[group]:
+                             graph.bwd_starts[group + 1]]
         if not sel.size:
             continue
-        cand = required[csr.edge_dst[sel]] - csr.edge_delay[sel]
-        np.minimum.at(required, csr.edge_src[sel], cand)
+        cand = required[graph.edge_dst[sel]] - graph.edge_delay[sel]
+        np.minimum.at(required, graph.edge_src[sel], cand)
     return required
 
 
-def _worst_pred_csr(csr, arrival: np.ndarray) -> np.ndarray:
+def _worst_pred(graph: TimingGraph, arrival: np.ndarray) -> np.ndarray:
     """Reconstruct the reference loop's worst-arrival predecessors.
 
     The reference loop visits edges in ascending edge-id order and only
@@ -155,64 +157,59 @@ def _worst_pred_csr(csr, arrival: np.ndarray) -> np.ndarray:
     unless the launch initialization already equals it (no strict
     improvement ever happened, predecessor stays -1).
     """
-    num_edges = csr.num_edges
-    pred = np.full(csr.n, -1, dtype=np.int64)
+    num_edges = graph.num_edges
+    pred = np.full(graph.num_pins, -1, dtype=np.int64)
     if not num_edges:
         return pred
-    launch = np.full(csr.n, _NEG_INF, dtype=np.float64)
-    if csr.src_idx.size:
-        np.maximum.at(launch, csr.src_idx, csr.src_launch)
-    src_arr = arrival[csr.edge_src]
-    cand = src_arr + csr.edge_delay
-    hits = (src_arr != _NEG_INF) & (cand == arrival[csr.edge_dst]) \
-        & (arrival[csr.edge_dst] != launch[csr.edge_dst])
+    launch = np.full(graph.num_pins, _NEG_INF, dtype=np.float64)
+    if graph.src_idx.size:
+        np.maximum.at(launch, graph.src_idx, graph.src_launch)
+    src_arr = arrival[graph.edge_src]
+    cand = src_arr + graph.edge_delay
+    hits = (src_arr != _NEG_INF) & (cand == arrival[graph.edge_dst]) \
+        & (arrival[graph.edge_dst] != launch[graph.edge_dst])
     eid = np.where(hits, np.arange(num_edges, dtype=np.int64), num_edges)
-    first = np.full(csr.n, num_edges, dtype=np.int64)
-    np.minimum.at(first, csr.edge_dst, eid)
+    first = np.full(graph.num_pins, num_edges, dtype=np.int64)
+    np.minimum.at(first, graph.edge_dst, eid)
     found = first < num_edges
-    pred[found] = csr.edge_src[first[found]]
+    pred[found] = graph.edge_src[first[found]]
     return pred
 
 
-def _propagate_csr(graph: TimingGraph, period: float
-                   ) -> tuple[list[float], list[float],
-                              dict[str, float], list[int]]:
+def propagate(graph: TimingGraph, period: float
+              ) -> tuple[list[float], list[float],
+                         dict[str, float], list[int]]:
     """Levelized numpy propagation — bit-identical to the reference loop."""
-    csr = graph.csr()
-    arrival = _forward_csr(csr)
-    required = _backward_csr(csr, period)
-    worst_pred = _worst_pred_csr(csr, arrival)
+    t0 = time.perf_counter()
+    arrival = _forward(graph)
+    required = _backward(graph, period)
+    worst_pred = _worst_pred(graph, arrival)
 
     endpoint_slack: dict[str, float] = {}
     pins = graph.pins
-    for idx, setup in graph.endpoints:
+    arrival = arrival.tolist()
+    for idx, setup in zip(graph.ep_idx.tolist(), graph.ep_setup.tolist()):
         at = arrival[idx]
         if at == _NEG_INF:
             continue
-        endpoint_slack[pins[idx].full_name] = (period - setup) - float(at)
+        endpoint_slack[pins[idx].full_name] = (period - setup) - at
+    metrics.add_time("sta.propagate_s", time.perf_counter() - t0)
+    return arrival, required.tolist(), endpoint_slack, worst_pred.tolist()
 
-    return (arrival.tolist(), required.tolist(), endpoint_slack,
-            worst_pred.tolist())
 
-
-def run_sta(design: Design, graph: TimingGraph | None = None
-            ) -> TimingReport:
+def run_sta(design: Design) -> TimingReport:
     """Full STA at the design's clock constraint.
 
-    Pass a prebuilt *graph* to skip reconstruction when the netlist
-    and routing have not changed structurally (parasitics baked into
-    arc delays do change with routing, so rebuild — or patch through
-    :class:`repro.timing.incremental.IncrementalSta` — after
-    reroutes).
+    Builds the timing graph from the current netlist and parasitics;
+    to follow reroutes without a rebuild, patch arc delays through
+    :class:`repro.timing.incremental.IncrementalSta`.
     """
     with trace.span("sta.full") as span:
-        if graph is None:
-            with trace.span("sta.build_graph"):
-                graph = build_timing_graph(design)
+        graph = build_timing_graph(design)
         period = design.clock_period_ps
         arrival, required, endpoint_slack, worst_pred = \
-            _propagate_csr(graph, period)
-        n_arcs = 2 * graph.csr().num_edges
+            propagate(graph, period)
+        n_arcs = 2 * graph.num_edges
         metrics.inc("sta.full_runs")
         # Forward + backward pass each visit every arc once.
         metrics.inc("sta.arc_propagations", n_arcs)

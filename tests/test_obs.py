@@ -376,6 +376,44 @@ class TestRouteAttribution:
         assert 0.0 < total <= span["dur_us"] * 1e-6
 
 
+#: Child attribution of the timing-graph build and incremental updates.
+BUILD_TIMERS = ("sta.arcs_s", "sta.order_s")
+STA_TIMERS = BUILD_TIMERS + ("sta.propagate_s", "sta.inc.patch_s",
+                             "sta.inc.repropagate_s")
+
+
+class TestStaAttribution:
+    def test_build_timers_sum_within_build_span(self, hetero_tech):
+        from repro.timing import IncrementalSta
+        from tests.conftest import build_small_design
+        design = build_small_design(hetero_tech)
+        metrics.reset()
+        trace.enable()
+        trace.reset()
+        try:
+            IncrementalSta(design)
+            records = list(trace.records)
+        finally:
+            trace.disable()
+            trace.reset()
+        [span] = by_name(records)["sta.build_graph"]
+        stats = metrics.snapshot()["stats"]
+        for name in BUILD_TIMERS + ("sta.propagate_s",):
+            assert stats[name]["count"] == 1, name
+        total = sum(stats[name]["total"] for name in BUILD_TIMERS)
+        assert 0.0 < total <= span["dur_us"] * 1e-6
+
+    def test_timers_present_after_gnn_flow(self, hetero_tech):
+        metrics.reset()
+        report = run_flow(tiny_factory, hetero_tech, SeedBundle(TEST_SEED),
+                          fast_config("gnn"))
+        assert report.requested_mls       # the MLS route re-times
+        stats = metrics.snapshot()["stats"]
+        for name in STA_TIMERS:
+            assert stats[name]["count"] > 0, name
+            assert stats[name]["min"] >= 0.0, name
+
+
 class TestTracingDeterminism:
     def test_rows_bit_identical_with_tracing_on(self, hetero_tech):
         baseline = run_flow(tiny_factory, hetero_tech,

@@ -115,26 +115,35 @@ class TestGraphStructure:
         for inst in routed_small_design.netlist.sequential_instances():
             ck = inst.clock_pin
             idx = graph.pin_index[ck.full_name]
-            assert not graph.fanout[idx]
-            assert not graph.fanin[idx]
+            assert graph.out_end[idx] == graph.out_start[idx]
+            assert graph.in_start[idx + 1] == graph.in_start[idx]
 
     def test_sequential_outputs_are_sources(self, routed_small_design):
         graph = build_timing_graph(routed_small_design)
-        source_idx = {i for i, _ in graph.sources}
+        source_idx = set(graph.src_idx.tolist())
         for inst in routed_small_design.netlist.sequential_instances():
             q = graph.pin_index[inst.output_pin.full_name]
             assert q in source_idx
 
     def test_endpoints_have_setup(self, routed_small_design):
         graph = build_timing_graph(routed_small_design)
-        setups = dict(graph.endpoints)
+        setups = dict(zip(graph.ep_idx.tolist(), graph.ep_setup.tolist()))
         for inst in routed_small_design.netlist.sequential_instances():
             d_idx = graph.pin_index[inst.pin("D").full_name]
             assert setups[d_idx] == pytest.approx(setup_time(inst.cell))
 
     def test_topological_order_complete(self, routed_small_design):
+        # Every pin is levelized, and the fanout/fanin offsets cover
+        # every edge exactly once, each from a lower to a higher level.
         graph = build_timing_graph(routed_small_design)
-        assert len(graph.topo) == len(graph.pins)
+        n, num_edges = len(graph.pins), graph.num_edges
+        assert graph.level.shape == (n,)
+        fanout = graph.out_end - graph.out_start
+        assert fanout.min() >= 0 and int(fanout.sum()) == num_edges
+        assert graph.in_start[0] == 0 and graph.in_start[n] == num_edges
+        assert sorted(graph.in_edges.tolist()) == list(range(num_edges))
+        assert (graph.level[graph.edge_dst]
+                > graph.level[graph.edge_src]).all()
 
     def test_false_path_port_excluded(self, hetero_tech):
         from tests.conftest import build_small_design
@@ -146,8 +155,8 @@ class TestGraphStructure:
         route_with_mls(d, set())
         graph = build_timing_graph(d)
         se_idx = graph.pin_index["port:scan_enable"]
-        assert se_idx not in {i for i, _ in graph.sources}
-        out_eps = {i for i, _ in graph.endpoints}
+        assert se_idx not in set(graph.src_idx.tolist())
+        out_eps = set(graph.ep_idx.tolist())
         so_idx = graph.pin_index["port:scan_out"]
         assert so_idx not in out_eps
 
