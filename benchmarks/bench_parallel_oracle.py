@@ -16,11 +16,10 @@ import json
 import time
 from pathlib import Path
 
-from repro.core.flow import prepare_design_cached
+from repro.core.flow import FlowConfig, prepare_design
 from repro.harness.designs import get_benchmark
 from repro.mls.oracle import oracle_labels
 from repro.parallel import ParallelConfig, usable_cores
-from repro.core.flow import FlowConfig
 from repro.route import GlobalRouter
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_parallel.json"
@@ -32,8 +31,8 @@ def test_parallel_oracle_speedup(benchmark, emit):
     spec = get_benchmark("maeri16_hetero")
     config = FlowConfig(selector="oracle",
                         target_freq_mhz=spec.target_freq_mhz, pdn=False)
-    design = prepare_design_cached(spec.factory, spec.tech(),
-                                   spec.seeds(), config)
+    design = prepare_design(spec.factory, spec.tech(), spec.seeds(),
+                            config)
     router = GlobalRouter(design)
     routing = router.route_all()
 

@@ -1,7 +1,8 @@
 """Benchmark-suite fixtures.
 
-Flow results are cached per-process by :mod:`repro.harness.tables`, so
-the figure benches that replot table data reuse the table runs.  Every
+:func:`repro.harness.tables.run_benchmark_flow` keeps each flow report
+it ran for the rest of the process, so the figure benches that replot
+table data reuse the table runs.  Every
 bench renders its table/series to stdout *and* to
 ``benchmarks/results/<name>.txt`` for EXPERIMENTS.md.
 """

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 import weakref
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -23,7 +22,7 @@ from repro.design import Design, TechSetup
 from repro.errors import FlowError
 from repro.netlist.netlist import Netlist
 from repro.opt.buffering import insert_buffers
-from repro.parallel import ParallelConfig, dumps_snapshot, loads_snapshot
+from repro.parallel import ParallelConfig
 from repro.partition import partition_memory_on_logic
 from repro.place import place_design
 from repro.power import (default_power_plan, estimate_power,
@@ -75,8 +74,9 @@ class FlowConfig:
     activity: float = 0.15
     #: Worker fan-out for the oracle selector's what-if probes.  The
     #: default (workers=1) runs every stage serially, bit-identical to
-    #: the parallel path.
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
+    #: the parallel path, so content keys leave it out.
+    parallel: ParallelConfig = field(default_factory=ParallelConfig,
+                                     metadata={"result_neutral": True})
 
     def __post_init__(self) -> None:
         if self.selector not in SELECTORS:
@@ -107,7 +107,7 @@ class FlowReport:
     #: "Run-Time (min)" column (as ``runtime_min`` in :meth:`row`).
     select_runtime_s: float
     #: Whole-flow wall time: prepare (even when the design came from
-    #: the prepare cache) through PDN.  Wall-clock, so deliberately
+    #: a store) through PDN.  Wall-clock, so deliberately
     #: *not* part of :meth:`row` — rows must stay bit-identical.
     runtime_s: float = 0.0
     #: Per-stage wall time keyed by flow span name ("flow.prepare",
@@ -160,7 +160,7 @@ def _stage(name: str, stages: dict[str, float], **attrs):
 
 #: Side-channel for each prepared design's wall time: run_flow folds
 #: it into FlowReport.runtime_s even when the design was prepared
-#: out-of-band (the cache, the table harness).  Deliberately NOT
+#: out-of-band (a store, the table harness).  Deliberately NOT
 #: stored on the design — prepared designs must stay byte-identical
 #: under pickling regardless of how long preparation took.
 _PREPARE_RUNTIME: "weakref.WeakKeyDictionary[Design, float]" = \
@@ -188,8 +188,8 @@ def stage_generate(factory: NetlistFactory, tech: TechSetup,
 
     Pure in (factory, tech libraries, seed): the generators draw only
     from their own named seed streams, so skipping this stage — e.g.
-    restoring its artifact from the service store — leaves every later
-    stage's randomness untouched.
+    restoring the placement artifact, which carries the netlist, from a
+    store — leaves every later stage's randomness untouched.
     """
     with trace.span("prepare.generate"):
         return factory(tech.libraries, seeds)
@@ -243,69 +243,6 @@ def prepare_design(factory: NetlistFactory, tech: TechSetup,
     return design
 
 
-#: prepare key -> pickled prepared design (see prepare_design_cached).
-#: Bounded LRU: long benchmark sweeps touch many (design, tech, seed)
-#: combinations and a pickled prepared design is tens of MB — keep
-#: only the most recently used few instead of every design ever seen.
-_PREPARE_CACHE: OrderedDict[tuple, bytes] = OrderedDict()
-
-#: Maximum pickled designs retained in the prepare cache.
-PREPARE_CACHE_MAX_ENTRIES = 8
-
-
-def _prepare_cache_key(factory: NetlistFactory, tech: TechSetup,
-                       seeds: SeedBundle, config: FlowConfig) -> tuple:
-    """Everything prepare_design's output depends on.
-
-    Derivation is shared with the persistent artifact store
-    (:mod:`repro.service.keys`) so the in-memory LRU and the on-disk
-    cache can never disagree about which config fields matter.  ``tech``
-    is keyed by value (content digest) so fresh-but-equal TechSetup
-    instances share one entry.  Factories the canonicalizer cannot
-    content-fingerprint (ad-hoc test closures over live objects) fall
-    back to identity: the factory object itself joins the key, which
-    also pins its ``id`` against reuse for the entry's lifetime.
-    """
-    from repro.service.keys import prepare_key
-    key = prepare_key(factory, tech, seeds, config)
-    if key.stable:
-        return (key.kind, key.hexdigest)
-    return (key.kind, key.hexdigest, factory)
-
-
-def prepare_design_cached(factory: NetlistFactory, tech: TechSetup,
-                          seeds: SeedBundle, config: FlowConfig) -> Design:
-    """Memoized :func:`prepare_design` returning an isolated copy.
-
-    The cache stores the prepared design *pickled*; every call —
-    including the one that populates an entry — gets its own unpickled
-    copy, so downstream stages (routing, MLS toggles, DFT inserts) on
-    one copy never leak into another selector's run.  Preparation is
-    deterministic in (factory, tech, seed, target freq, scan), which is
-    exactly the cache key.
-    """
-    key = _prepare_cache_key(factory, tech, seeds, config)
-    t0 = time.perf_counter()
-    if key in _PREPARE_CACHE:
-        metrics.inc("prepare.cache_hits")
-        _PREPARE_CACHE.move_to_end(key)
-    else:
-        metrics.inc("prepare.cache_misses")
-        _PREPARE_CACHE[key] = dumps_snapshot(
-            prepare_design(factory, tech, seeds, config))
-        while len(_PREPARE_CACHE) > PREPARE_CACHE_MAX_ENTRIES:
-            _PREPARE_CACHE.popitem(last=False)
-    design = loads_snapshot(_PREPARE_CACHE[key])
-    # What *this* call paid — an unpickle on a hit, build + pickle +
-    # unpickle on a miss.
-    _note_prepare_runtime(design, time.perf_counter() - t0)
-    return design
-
-
-def clear_prepare_cache() -> None:
-    _PREPARE_CACHE.clear()
-
-
 def select_nets(design: Design, router: GlobalRouter, baseline,
                 report: TimingReport, seeds: SeedBundle,
                 config: FlowConfig,
@@ -343,14 +280,15 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
              design: Design | None = None) -> FlowReport:
     """Run the complete flow for one (design, selector) combination.
 
-    Pass a pre-built *design* (e.g. from :func:`prepare_design_cached`)
-    to skip the partition/place/buffer stages; it must have been
-    prepared with the same factory/tech/seeds/config.
+    Pass a pre-built *design* (e.g. from
+    :func:`repro.service.stages.prepare_design_stored`) to skip the
+    partition/place/buffer stages; it must have been prepared with the
+    same factory/tech/seeds/config.
     """
     stages: dict[str, float] = {}
-    # A design prepared out-of-band (prepare_design_cached, the table
-    # harness) carries its own wall time; fold it into the whole-flow
-    # runtime so FlowReport.runtime_s never undercounts preparation.
+    # A design prepared out-of-band (a store, the table harness)
+    # carries its own wall time; fold it into the whole-flow runtime
+    # so FlowReport.runtime_s never undercounts preparation.
     prepare_ext_s = 0.0
     if design is not None:
         prepare_ext_s = prepare_runtime_s(design)

@@ -1,78 +1,72 @@
 """Table builders — one function per paper table.
 
-Heavy flow runs are memoized per (benchmark, selector, options) within
-the process, so Figure 8 (which replots Tables IV/V data) and repeated
-bench invocations don't pay twice.  One level below, the prepared
-(partitioned/placed/buffered) design is memoized per benchmark by
-:func:`repro.core.flow.prepare_design_cached`, so the per-*selector*
-runs of one table only pay routing + selection + signoff.
+:func:`run_benchmark_flow` keeps every report it ran, by reference, so
+Figure 8 (which replots Tables IV/V data) and repeated bench
+invocations don't pay twice; a miss prepares through one process-wide
+:class:`~repro.service.store.MemoryStore`, so the per-*selector* runs
+of one table share the prepared design and a frequency or scan sweep
+shares the placement.  :func:`run_request` (``repro flow``/``timing``/
+``congestion``) consults no memo.
 """
 
 from __future__ import annotations
 
-from repro.core.flow import (FlowConfig, FlowReport, run_flow,
-                             prepare_design_cached)
+from repro.core.flow import FlowConfig, FlowReport, prepare_design, run_flow
 from repro.harness.designs import (BenchmarkSpec, get_benchmark,
                                    DEFAULT_EXPERIMENT_SEED)
 from repro.harness.request import FlowRequest
 from repro.mls import route_with_mls
-from repro.service.keys import flow_key
+from repro.service.stages import prepare_design_stored, run_flow_stored
+from repro.service.store import ArtifactStore, MemoryStore
 from repro.timing import (IncrementalSta, extract_worst_paths,
                           nets_whatif_delta)
 
-#: (flow content key, workers[, factory]) -> FlowReport
-_FLOW_CACHE: dict[tuple, FlowReport] = {}
+#: (request, spec) -> the FlowReport run_benchmark_flow returned.
+_REPORTS: dict[tuple[FlowRequest, BenchmarkSpec], FlowReport] = {}
+
+#: Prepared designs and placements the table builders share.
+_PREPARED = MemoryStore()
 
 
-def run_benchmark_flow(spec: BenchmarkSpec, selector: str, store=None,
+def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
                        **fields) -> FlowReport:
-    """:func:`run_request` for *spec* at its target clock; *fields* are
-    further :class:`FlowRequest` fields (``seed``, ``workers``...)."""
-    return run_request(FlowRequest(spec.key, selector, **fields), spec,
-                       store=store)
+    """The flow for *spec* at its target clock, run once per process;
+    *fields* are further :class:`FlowRequest` fields (``seed``,
+    ``workers``...).  Equal requests return the same report object:
+    callers must not mutate it."""
+    request = FlowRequest(spec.key, selector, **fields)
+    key = (request, spec)
+    if key not in _REPORTS:
+        _, config, seeds = request.flow_inputs(spec)
+        design = prepare_design_stored(spec.factory, spec.tech(), seeds,
+                                       config, _PREPARED)
+        _REPORTS[key] = run_flow(spec.factory, spec.tech(), seeds, config,
+                                 design=design)
+    return _REPORTS[key]
 
 
 def run_request(request: FlowRequest, spec: BenchmarkSpec | None = None,
-                store=None) -> FlowReport:
-    """Run (or fetch) the cached flow *request* describes, configured
-    by :meth:`FlowRequest.flow_inputs` exactly as the flow daemon does;
+                store: ArtifactStore | None = None) -> FlowReport:
+    """Run the flow *request* describes, configured by
+    :meth:`FlowRequest.flow_inputs` exactly as the flow daemon does;
     *spec* stands in for the named benchmark (an imported netlist).
 
-    The memo key is the shared content key from
-    :mod:`repro.service.keys` — the same derivation the persistent
-    store uses — plus the worker count: workers only change
-    wall-clock, never results, but repeat invocations with different
-    worker counts must measure honestly.  Factories without a stable
-    content fingerprint key by identity, like the prepare LRU.
-
-    Pass *store* (an :class:`repro.service.ArtifactStore`) to read
-    through / write back the persistent artifact cache — warm
-    invocations then skip generate/partition/place/buffer or replay
-    the whole stored report.
+    With *store*, read through / write back the persistent artifact
+    cache: a warm invocation skips generate/partition/place/buffer or
+    replays the whole stored report.
     """
     spec, config, seeds = request.flow_inputs(spec)
-    content = flow_key(spec.factory, spec.tech(), seeds, config)
-    key: tuple = (content.hexdigest, request.workers)
-    if not content.stable:
-        key += (spec.factory,)
-    if key not in _FLOW_CACHE:
-        if store is not None:
-            from repro.service.stages import run_flow_stored
-            report, _summary, _cached = run_flow_stored(
-                spec.factory, spec.tech(), seeds, config, store,
-                need_report=True)
-        else:
-            design = prepare_design_cached(spec.factory, spec.tech(),
-                                           seeds, config)
-            report = run_flow(spec.factory, spec.tech(),
-                              spec.seeds(request.seed), config,
-                              design=design)
-        _FLOW_CACHE[key] = report
-    return _FLOW_CACHE[key]
+    if store is None:
+        return run_flow(spec.factory, spec.tech(), seeds, config)
+    report, _summary, _cached = run_flow_stored(
+        spec.factory, spec.tech(), seeds, config, store)
+    return report
 
 
 def clear_flow_cache() -> None:
-    _FLOW_CACHE.clear()
+    """Forget every memoized report and prepared design."""
+    _REPORTS.clear()
+    _PREPARED.clear()
 
 
 def flow_comparison_rows(benchmark_key: str,
@@ -193,8 +187,8 @@ def table1_single_net(seed: int = DEFAULT_EXPERIMENT_SEED
     spec = get_benchmark("maeri128_hetero")
     config = FlowConfig(selector="none",
                         target_freq_mhz=spec.target_freq_mhz)
-    design = prepare_design_cached(spec.factory, spec.tech(),
-                                   spec.seeds(seed), config)
+    design = prepare_design(spec.factory, spec.tech(), spec.seeds(seed),
+                            config)
     router, routing = route_with_mls(design, set())
     timing = IncrementalSta(design)
     report = timing.report()

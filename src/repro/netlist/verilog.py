@@ -16,6 +16,7 @@ see the paper's flows, which exchange flat post-synthesis netlists.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
@@ -99,39 +100,45 @@ _TOKEN_RE = re.compile(
 
 
 def _blank_keeping_newlines(match: re.Match) -> str:
-    return "\n" * match.group(0).count("\n")
+    return re.sub(r"[^\n]", " ", match.group(0))
 
 
-def _tokenize(text: str, source: str) -> tuple[list[str], list[int]]:
-    """Tokens of *text* plus the 1-based source line of each one.
+def _tokenize(text: str, source: str
+              ) -> tuple[list[str], list[tuple[int, int]]]:
+    """Tokens of *text* plus the 1-based source (line, column) of each.
 
-    Comments are stripped first; a ``/* */`` block keeps its newlines
-    so every later token still reports its true line.
+    Comments are blanked first, keeping their newlines and width, so
+    every later token still reports its true line and column.
     """
-    text = re.sub(r"//[^\n]*", "", text)
+    text = re.sub(r"//[^\n]*", _blank_keeping_newlines, text)
     text = re.sub(r"/\*.*?\*/", _blank_keeping_newlines, text,
                   flags=re.S)
     tokens: list[str] = []
-    lines: list[int] = []
+    places: list[tuple[int, int]] = []
     line = 1
+    line_start = 0          # text offset of the current line's column 1
     pos = 0
     while pos < len(text):
         ch = text[pos]
         if ch.isspace():
-            line += ch == "\n"
             pos += 1
+            if ch == "\n":
+                line += 1
+                line_start = pos
             continue
         match = _TOKEN_RE.match(text, pos)
         if not match:
             raise NetlistError(
-                f"{source}:{line}: verilog parse error near: "
-                f"{text[pos:pos + 40]!r}")
+                f"{source}:{line}:{pos - line_start + 1}: verilog parse "
+                f"error near: {text[pos:pos + 40]!r}")
         token = match.group(0)
         tokens.append(token)
-        lines.append(line)
-        line += token.count("\n")
+        places.append((line, pos - line_start + 1))
+        if "\n" in token:          # an escaped identifier may span lines
+            line += token.count("\n")
+            line_start = pos + token.rindex("\n") + 1
         pos = match.end()
-    return tokens, lines
+    return tokens, places
 
 
 def _as_library_map(library) -> dict[str, CellLibrary]:
@@ -151,18 +158,18 @@ def _as_library_map(library) -> dict[str, CellLibrary]:
 class _Parser:
     """Recursive-descent parser for the emitted dialect."""
 
-    def __init__(self, tokens: list[str], lines: list[int],
+    def __init__(self, tokens: list[str], places: list[tuple[int, int]],
                  libraries: dict[str, CellLibrary], source: str):
         self.tokens = tokens
-        self.lines = lines
+        self.places = places
         self.pos = 0
         self.libraries = libraries
         self.source = source
 
     def error(self, message: str) -> NetlistError:
         """A parse error located at the most recently read token."""
-        line = self.lines[self.pos - 1] if self.pos else 1
-        return NetlistError(f"{self.source}:{line}: {message}")
+        line, col = self.places[self.pos - 1] if self.pos else (1, 1)
+        return NetlistError(f"{self.source}:{line}:{col}: {message}")
 
     def resolve_cell(self, cell_name: str, attrs: dict[str, str],
                      inst_name: str):
@@ -206,6 +213,15 @@ class _Parser:
                 attrs[body.strip()] = ""
         return attrs
 
+    @contextmanager
+    def located(self, place: tuple[int, int]):
+        """Prefix a netlist or library error with *place*."""
+        try:
+            yield
+        except (NetlistError, TechError) as exc:
+            raise type(exc)(f"{self.source}:{place[0]}:{place[1]}: "
+                            f"{exc}") from None
+
     def parse(self) -> Netlist:
         self.pending_attrs()
         self.expect("module")
@@ -218,15 +234,18 @@ class _Parser:
         self.expect(")")
         self.expect(";")
 
-        pending: list[tuple[str, str, str, dict]] = []   # deferred insts
-        assigns: list[tuple[str, str]] = []
+        # Statements are built after the whole module is read; wires,
+        # assigns and instances keep their first token's (line, col).
+        pending: list[tuple] = []      # (cell, inst, attrs, conns, place)
+        assigns: list[tuple[str, str, tuple[int, int]]] = []
         port_dirs: dict[str, tuple[str, bool]] = {}
         clock_nets: set[str] = set()
-        wires: list[str] = []
+        wires: list[tuple[str, tuple[int, int]]] = []
 
         while self.peek() not in (None, "endmodule"):
             attrs = self.pending_attrs()
             token = self.next()
+            place = self.places[self.pos - 1]
             if token in ("input", "output"):
                 name = _unescape(self.next())
                 self.expect(";")
@@ -235,7 +254,7 @@ class _Parser:
             elif token == "wire":
                 name = _unescape(self.next())
                 self.expect(";")
-                wires.append(name)
+                wires.append((name, place))
                 if "clock" in attrs:
                     clock_nets.add(name)
             elif token == "assign":
@@ -243,7 +262,7 @@ class _Parser:
                 self.expect("=")
                 rhs = _unescape(self.next())
                 self.expect(";")
-                assigns.append((lhs, rhs))
+                assigns.append((lhs, rhs, place))
             else:
                 cell_name = token
                 inst_name = _unescape(self.next())
@@ -262,32 +281,31 @@ class _Parser:
                     self.expect(")")
                 self.expect(")")
                 self.expect(";")
-                pending.append((cell_name, inst_name, "", attrs |
-                                {"__conns__": conns}))  # type: ignore
+                pending.append((cell_name, inst_name, attrs, conns, place))
         # Build.
-        for name in wires:
-            netlist.add_net(name, is_clock=name in clock_nets)
-        port_net: dict[str, str] = {}
-        for lhs, rhs in assigns:
+        for name, place in wires:
+            with self.located(place):
+                netlist.add_net(name, is_clock=name in clock_nets)
+        port_net: dict[str, tuple[str, tuple[int, int]]] = {}
+        for lhs, rhs, place in assigns:
             if lhs in netlist.nets:          # input port: net = port
-                port_net[rhs] = lhs
+                port_net[rhs] = (lhs, place)
             else:                            # output port: port = net
-                port_net[lhs] = rhs
+                port_net[lhs] = (rhs, place)
         for name, (direction, false_path) in port_dirs.items():
             port = netlist.add_port(name, direction, false_path=false_path)
-            net_name = port_net.get(name)
-            if net_name is not None:
-                netlist.net(net_name).attach(port.pin)
-        for cell_name, inst_name, _, attrs in pending:
-            conns = attrs.pop("__conns__")   # type: ignore
-            inst = netlist.add_instance(
-                inst_name, self.resolve_cell(cell_name, attrs, inst_name))
-            inst.attrs.update({k: v for k, v in attrs.items()})
-            # Attach output last so single-driver checks see sinks of
-            # earlier instances first (order doesn't actually matter,
-            # but keep deterministic).
-            for pin_name, net_name in conns.items():
-                netlist.net(net_name).attach(inst.pin(pin_name))
+            if name in port_net:
+                net_name, place = port_net[name]
+                with self.located(place):
+                    netlist.net(net_name).attach(port.pin)
+        for cell_name, inst_name, attrs, conns, place in pending:
+            with self.located(place):
+                inst = netlist.add_instance(
+                    inst_name, self.resolve_cell(cell_name, attrs,
+                                                 inst_name))
+                inst.attrs.update(attrs)
+                for pin_name, net_name in conns.items():
+                    netlist.net(net_name).attach(inst.pin(pin_name))
         return netlist
 
 
@@ -307,10 +325,13 @@ def read_verilog(path: str | Path,
         text = Path(path).read_text()
     except OSError as exc:
         raise NetlistError(f"{path}: {exc.strerror or exc}") from None
-    tokens, lines = _tokenize(text, str(path))
-    parser = _Parser(tokens, lines, _as_library_map(library), str(path))
+    tokens, places = _tokenize(text, str(path))
+    parser = _Parser(tokens, places, _as_library_map(library), str(path))
     netlist = parser.parse()
-    netlist.validate()
+    try:
+        netlist.validate()
+    except NetlistError as exc:
+        raise NetlistError(f"{path}: {exc}") from None
     return netlist
 
 

@@ -1,30 +1,28 @@
 """Canonical content-hash keys for flow artifacts.
 
-Every cache in the repo — the in-process prepare LRU
-(:func:`repro.core.flow.prepare_design_cached`), the per-process flow
-memo (:func:`repro.harness.tables.run_benchmark_flow`) and the on-disk
-:class:`repro.service.store.ArtifactStore` — derives its keys here, so
-"what makes two runs the same" has exactly one definition.
+Both artifact stores — the on-disk
+:class:`repro.service.store.ArtifactStore` and the in-process
+:class:`repro.service.store.MemoryStore` the table builders prepare
+through — take their keys from here, so "what makes two runs the
+same" has exactly one definition.
 
 A key digests *content*, never identity: the netlist factory (module
 path + closure/default values + a code fingerprint covering bytecode,
 constant pool, names and nested code objects), a SHA-256 over the
 pickled :class:`~repro.design.TechSetup`, the experiment seed, and the
-flow-config fields that can change results.  ``ParallelConfig`` is
-deliberately excluded — worker counts change wall-clock, never output
-(the equivalence suites lock that).
+flow-config fields that can change results.  A field declared with
+``metadata={"result_neutral": True}`` (``FlowConfig.parallel``) is
+excluded — worker counts change wall-clock, never output (the
+equivalence suites lock that).
 
-Stage keys are prefix-shaped on purpose: ``generate``/``partition``/
-``place`` depend only on (factory, tech, seed), and ``prepared`` adds
-target frequency + scan.
+Stage keys are prefix-shaped on purpose: ``place`` depends only on
+(factory, tech, seed), and ``prepared`` adds target frequency + scan.
 A frequency or scan sweep therefore shares the expensive placement
 artifact across every cell of the sweep.
 
 Objects the canonicalizer cannot fingerprint (ad-hoc test stand-ins,
-closures over live designs) degrade to *unstable* keys: still unique
-within the process — :func:`canonical` folds in ``id()`` and the
-in-memory caches retain the object alongside the key so ids can never
-be recycled into a collision — but refused by the persistent store.
+closures over live designs) degrade to *unstable* keys, which every
+store refuses: such a run is simply recomputed.
 """
 
 from __future__ import annotations
@@ -57,9 +55,7 @@ class ContentKey:
     """One addressable artifact identity.
 
     ``stable`` is False when any input could only be fingerprinted by
-    object identity — such keys work for in-memory memoization (the
-    caches keep the object alive, pinning its id) but must never be
-    persisted.
+    object identity; stores refuse such keys.
     """
 
     kind: str
@@ -79,14 +75,8 @@ class ContentKey:
 class PrepareKeys:
     """Stage-artifact keys for one prepare chain (see module doc)."""
 
-    generate: ContentKey       # Netlist
-    partition: ContentKey      # TierAssignment (carries the netlist)
-    place: ContentKey          # (Placement, Floorplan)
+    place: ContentKey          # (Placement, Floorplan) + netlist, tiers
     prepared: ContentKey       # fully buffered Design
-
-    @property
-    def stable(self) -> bool:
-        return self.prepared.stable
 
 
 def canonical(obj: Any, unstable: list | None = None) -> Any:
@@ -229,7 +219,7 @@ def _base(factory, tech, seeds) -> dict:
 
 
 def prepare_stage_keys(factory, tech, seeds, config) -> PrepareKeys:
-    """Keys for the four prepare artifacts of one flow configuration.
+    """Keys for the two prepare artifacts of one flow configuration.
 
     *config* is a :class:`repro.core.flow.FlowConfig` (anything with
     the same field names works).  Only the fields each stage chain
@@ -240,28 +230,16 @@ def prepare_stage_keys(factory, tech, seeds, config) -> PrepareKeys:
                     freq_mhz=float(config.target_freq_mhz),
                     scan=bool(config.with_scan))
     return PrepareKeys(
-        generate=digest_key("prepare.generate", base),
-        partition=digest_key("prepare.partition", base),
         place=digest_key("prepare.place", base),
         prepared=digest_key("prepare.design", prepared),
     )
 
 
-def prepare_key(factory, tech, seeds, config) -> ContentKey:
-    """The fully-prepared-design key (what the prepare LRU uses)."""
-    return prepare_stage_keys(factory, tech, seeds, config).prepared
-
-
-#: FlowConfig fields excluded from flow keys: parallelism changes
-#: wall-clock only (locked by the equivalence suites), never results.
-_RESULT_NEUTRAL_CONFIG_FIELDS = frozenset({"parallel"})
-
-
 def config_fingerprint(config) -> Any:
-    """Canonical form of every result-relevant flow-config field."""
+    """Every flow-config field not declared ``result_neutral``."""
     return {field.name: getattr(config, field.name)
             for field in dataclasses.fields(config)
-            if field.name not in _RESULT_NEUTRAL_CONFIG_FIELDS}
+            if not field.metadata.get("result_neutral")}
 
 
 def flow_key(factory, tech, seeds, config) -> ContentKey:

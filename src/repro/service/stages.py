@@ -4,11 +4,9 @@ The cold path is exactly :func:`repro.core.flow.prepare_design` /
 :func:`repro.core.flow.run_flow` — same stage functions, same spans.
 This module adds artifact lookups between stages:
 
-* ``prepare.generate``  — the netlist;
-* ``prepare.partition`` — the tier assignment (whose flat pickle
-  carries the netlist, so one payload keeps identity consistent);
-* ``prepare.place``     — (placement, floorplan), likewise carrying
-  netlist + tiers;
+* ``prepare.place``     — (placement, floorplan), whose flat pickle
+  carries the netlist and tier assignment, so one payload keeps
+  identity consistent;
 * ``prepare.design``    — the fully buffered design;
 * ``flow.report``       — the complete pickled :class:`FlowReport`;
 * ``flow.summary``      — a small JSON-able row + digest dict, what
@@ -21,6 +19,9 @@ stored report, provably bit-identical to the cold run (pickle
 round-trips are pinned by the golden-equivalence suite, and
 :func:`report_digest` rides along in the summary for end-to-end
 verification).
+
+Every *store* parameter takes an :class:`ArtifactStore` or a
+:class:`MemoryStore`: both have the same ``get``/``put`` contract.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.obs import metrics, trace
 from repro.rng import SeedBundle
 from repro.service.keys import (PrepareKeys, canonical, flow_key,
                                 flow_summary_key, prepare_stage_keys)
-from repro.service.store import ArtifactStore
+from repro.service.store import ArtifactStore, MemoryStore
 
 
 def report_digest(report: FlowReport) -> str:
@@ -81,7 +82,7 @@ def report_summary(report: FlowReport, digest: str | None = None) -> dict:
 
 def prepare_design_stored(factory: NetlistFactory, tech: TechSetup,
                           seeds: SeedBundle, config: FlowConfig,
-                          store: ArtifactStore) -> Design:
+                          store: ArtifactStore | MemoryStore) -> Design:
     """Store-backed :func:`prepare_design`: resume from the deepest
     artifact hit, persist every stage boundary crossed."""
     keys = prepare_stage_keys(factory, tech, seeds, config)
@@ -92,30 +93,21 @@ def prepare_design_stored(factory: NetlistFactory, tech: TechSetup,
             design = _build_prepared(factory, tech, seeds, config,
                                      keys, store)
             store.put(keys.prepared, design)
-        else:
-            metrics.inc("service.prepare_design_hits")
     _note_prepare_runtime(design, time.perf_counter() - t0)
     return design
 
 
 def _build_prepared(factory: NetlistFactory, tech: TechSetup,
                     seeds: SeedBundle, config: FlowConfig,
-                    keys: PrepareKeys, store: ArtifactStore) -> Design:
+                    keys: PrepareKeys,
+                    store: ArtifactStore | MemoryStore) -> Design:
     placed = store.get(keys.place)
     if placed is not None:
         placement, floorplan = placed
         netlist, tiers = placement.netlist, placement.tiers
     else:
-        tiers = store.get(keys.partition)
-        if tiers is not None:
-            netlist = tiers.netlist
-        else:
-            netlist = store.get(keys.generate)
-            if netlist is None:
-                netlist = stage_generate(factory, tech, seeds)
-                store.put(keys.generate, netlist)
-            tiers = stage_partition(netlist)
-            store.put(keys.partition, tiers)
+        netlist = stage_generate(factory, tech, seeds)
+        tiers = stage_partition(netlist)
         placement, floorplan = stage_place(netlist, tiers, seeds)
         store.put(keys.place, (placement, floorplan))
     design = Design(netlist, tech, config.target_freq_mhz)
@@ -127,7 +119,7 @@ def _build_prepared(factory: NetlistFactory, tech: TechSetup,
 
 def run_flow_stored(factory: NetlistFactory, tech: TechSetup,
                     seeds: SeedBundle, config: FlowConfig,
-                    store: ArtifactStore,
+                    store: ArtifactStore | MemoryStore,
                     need_report: bool = True
                     ) -> tuple[FlowReport | None, dict, bool]:
     """Run (or replay) one flow through the store.

@@ -1,4 +1,5 @@
-"""On-disk content-addressed artifact store.
+"""Content-addressed artifact stores: :class:`ArtifactStore` on disk
+(described here) and its in-process twin :class:`MemoryStore`.
 
 Layout under one root directory::
 
@@ -45,6 +46,7 @@ import json
 import os
 import struct
 import zlib
+from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from threading import RLock
@@ -81,6 +83,11 @@ DEFAULT_COMPRESS_LEVEL = 3
 #: this many LRU-order updates in a crash only skews eviction order,
 #: never correctness — blobs are self-validating.
 TOUCH_FLUSH_INTERVAL = 64
+
+#: Artifacts a :class:`MemoryStore` holds before it evicts the least
+#: recently used one: a prepared design snapshot runs to megabytes, so
+#: a long table sweep keeps the last few designs, not every one.
+MEMORY_STORE_MAX_ENTRIES = 8
 
 _tmp_counter = itertools.count()
 
@@ -404,3 +411,57 @@ class ArtifactStore:
                 path.unlink(missing_ok=True)
             self._entries = {}
             self._flush_index()
+
+
+class MemoryStore:
+    """In-process artifact store with :class:`ArtifactStore`'s contract.
+
+    ``get`` returns a fresh unpickled copy (or ``None``), so a caller
+    that mutates what it got never changes what the next caller gets;
+    ``put`` returns False for an unstable key.  Values are held as
+    :func:`repro.parallel.dumps_snapshot` bytes — no compression,
+    checksum, index or file locking — and the least recently used
+    entry is evicted past :data:`MEMORY_STORE_MAX_ENTRIES`.  Counters
+    are the on-disk store's ``store.hits/misses/puts.<kind>``.  Not
+    thread-safe: one thread (the table builders') uses it.
+    """
+
+    def __init__(self):
+        #: hexdigest -> snapshot bytes, least recently used first
+        self._blobs: OrderedDict[str, bytes] = OrderedDict()
+
+    def get(self, key: ContentKey) -> Optional[Any]:
+        """A copy of the stored object, or ``None`` on miss/unstable."""
+        if not key.stable:
+            metrics.inc("store.unstable_key_skips")
+            return None
+        blob = self._blobs.get(key.hexdigest)
+        if blob is None:
+            metrics.inc("store.misses")
+            metrics.inc(f"store.misses.{key.kind}")
+            return None
+        self._blobs.move_to_end(key.hexdigest)
+        with trace.span("store.get", kind=key.kind, key=key.short):
+            obj = loads_snapshot(blob)
+        metrics.inc("store.hits")
+        metrics.inc(f"store.hits.{key.kind}")
+        return obj
+
+    def put(self, key: ContentKey, obj: Any) -> bool:
+        """Hold a snapshot of *obj* under *key*; False when refused."""
+        if not key.stable:
+            metrics.inc("store.unstable_key_skips")
+            return False
+        with trace.span("store.put", kind=key.kind, key=key.short):
+            blob = dumps_snapshot(obj)
+        self._blobs[key.hexdigest] = blob
+        self._blobs.move_to_end(key.hexdigest)
+        while len(self._blobs) > MEMORY_STORE_MAX_ENTRIES:
+            self._blobs.popitem(last=False)
+            metrics.inc("store.evictions")
+        metrics.inc("store.puts")
+        metrics.inc(f"store.puts.{key.kind}")
+        return True
+
+    def clear(self) -> None:
+        self._blobs.clear()

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.core.trainer import TrainConfig
-from repro.harness.designs import BENCHMARKS, BenchmarkSpec
+from repro.harness.designs import BENCHMARKS, BenchmarkSpec, get_benchmark
+from repro.harness.request import FlowRequest
 from repro.harness.tables import (clear_flow_cache, flow_comparison_rows,
-                                  run_benchmark_flow)
+                                  run_benchmark_flow, run_request)
 from repro.netlist.generators import MaeriConfig, generate_maeri
+from repro.obs import metrics
+from repro.service import ArtifactStore, flow_key
 
 
 def _tiny_factory(libraries, seeds):
@@ -47,6 +50,28 @@ class TestFlowCache:
         rows = flow_comparison_rows("tiny_test", selectors=("none", "sota"))
         assert set(rows) == {"none", "sota"}
         assert rows["none"]["mls_nets"] == 0
+
+    def test_selectors_share_one_prepare(self, tiny_benchmark):
+        """A table's selector columns prepare the design once."""
+        names = ("store.puts.prepare.design", "store.hits.prepare.design")
+        before = [metrics.counter(n) for n in names]
+        flow_comparison_rows("tiny_test", selectors=("none", "sota"))
+        assert [metrics.counter(n) - b
+                for n, b in zip(names, before)] == [1, 1]
+
+
+class TestRunRequest:
+    def test_memo_does_not_shadow_the_store(self, tmp_path):
+        """A report the table builders hold must not keep a --store
+        request from writing its flow to the store."""
+        spec = get_benchmark("maeri16_hetero")
+        run_benchmark_flow(spec, "none")
+        request = FlowRequest(spec.key, "none")
+        store = ArtifactStore(tmp_path / "store")
+        run_request(request, spec, store=store)
+        _, config, seeds = request.flow_inputs(spec)
+        assert store.contains(flow_key(spec.factory, spec.tech(), seeds,
+                                       config))
 
 
 class TestSpecHelpers:

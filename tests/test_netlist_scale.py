@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from repro.core.flow import FlowConfig, prepare_design_cached
+from repro.core.flow import FlowConfig, prepare_design
 from repro.harness.designs import get_benchmark
 from repro.parallel.pool import dumps_snapshot, loads_snapshot
 
@@ -31,8 +31,7 @@ def maeri128_prepared():
     spec = get_benchmark("maeri128_hetero")
     config = FlowConfig(selector="none",
                         target_freq_mhz=spec.target_freq_mhz)
-    return prepare_design_cached(spec.factory, spec.tech(), spec.seeds(),
-                                 config)
+    return prepare_design(spec.factory, spec.tech(), spec.seeds(), config)
 
 
 class TestMaeri128Snapshot:
@@ -64,7 +63,7 @@ class TestMaeri128Snapshot:
             == len(design.netlist.instances)
 
     def test_payload_fits_budget(self, maeri128_prepared):
-        """Guard the prepare-cache size win (object-graph baseline was
+        """Guard the snapshot size win (object-graph baseline was
         5 330 335 bytes at the seed commit; the flat core ships well
         under half of that — see BENCH_netlist.json)."""
         payload = dumps_snapshot(maeri128_prepared)

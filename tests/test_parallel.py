@@ -3,7 +3,7 @@
 The contract under test: the parallelized hot loop — the what-if
 oracle — returns results *identical* to its serial twin under the
 same seeds, for any worker count.  Plus unit coverage
-of the pool plumbing itself and the prepare-design memo cache.
+of the pool plumbing itself and of preparing through a MemoryStore.
 """
 
 from __future__ import annotations
@@ -14,16 +14,18 @@ import math
 import pytest
 
 from repro import FlowConfig, run_flow
-from repro.core.flow import (clear_prepare_cache, prepare_design,
-                             prepare_design_cached)
+from repro.core.flow import prepare_design
 from repro.mls import route_with_mls
 from repro.mls.oracle import candidate_nets, oracle_labels, oracle_select
 from repro.netlist.generators import MaeriConfig, generate_maeri
+from repro.obs import metrics
 from repro.parallel import (ParallelConfig, chunked, dumps_snapshot,
                             loads_snapshot, snapshot_map)
 from repro.parallel.config import MIN_ITEMS, WAVES
 from repro.route import GlobalRouter
 from repro.rng import SeedBundle
+from repro.service import MemoryStore
+from repro.service.stages import prepare_design_stored
 from repro.timing import run_sta
 
 from tests.conftest import TEST_SEED, build_small_design
@@ -231,26 +233,39 @@ def _fast_config(**kwargs) -> FlowConfig:
     return FlowConfig(**defaults)
 
 
+def _prepare(store: MemoryStore, tech, cfg: FlowConfig,
+             seed: int = TEST_SEED):
+    return prepare_design_stored(_tiny_factory, tech, SeedBundle(seed),
+                                 cfg, store)
+
+
+def _design_hits() -> int:
+    return metrics.counter("store.hits.prepare.design")
+
+
 class TestPrepareCache:
+    """Preparing through a MemoryStore: every hit is an isolated copy."""
+
     def test_hit_returns_equal_but_distinct_designs(self, hetero_tech):
-        clear_prepare_cache()
-        cfg = _fast_config()
-        first = prepare_design_cached(_tiny_factory, hetero_tech,
-                                      SeedBundle(TEST_SEED), cfg)
-        second = prepare_design_cached(_tiny_factory, hetero_tech,
-                                       SeedBundle(TEST_SEED), cfg)
+        store, cfg = MemoryStore(), _fast_config()
+        _prepare(store, hetero_tech, cfg)
+        hits = _design_hits()
+        first = _prepare(store, hetero_tech, cfg)
+        second = _prepare(store, hetero_tech, cfg)
+        assert _design_hits() == hits + 2
         assert first is not second
         assert first.netlist is not second.netlist
         assert first.netlist.stats() == second.netlist.stats()
         assert dumps_snapshot(first) == dumps_snapshot(second)
 
     def test_matches_uncached_prepare(self, hetero_tech):
-        # Routing + STA on the cached copy must land exactly where a
+        # Routing + STA on the stored copy must land exactly where a
         # from-scratch prepare does.
-        clear_prepare_cache()
-        cfg = _fast_config()
-        cached = prepare_design_cached(_tiny_factory, hetero_tech,
-                                       SeedBundle(TEST_SEED), cfg)
+        store, cfg = MemoryStore(), _fast_config()
+        _prepare(store, hetero_tech, cfg)
+        hits = _design_hits()
+        cached = _prepare(store, hetero_tech, cfg)
+        assert _design_hits() == hits + 1
         direct = prepare_design(_tiny_factory, hetero_tech,
                                 SeedBundle(TEST_SEED), cfg)
         assert cached.netlist.stats() == direct.netlist.stats()
@@ -259,26 +274,25 @@ class TestPrepareCache:
         assert run_sta(cached).summary() == run_sta(direct).summary()
 
     def test_seed_misses_cache(self, hetero_tech):
-        clear_prepare_cache()
-        cfg = _fast_config()
-        a = prepare_design_cached(_tiny_factory, hetero_tech,
-                                  SeedBundle(TEST_SEED), cfg)
-        b = prepare_design_cached(_tiny_factory, hetero_tech,
-                                  SeedBundle(TEST_SEED + 1), cfg)
+        store, cfg = MemoryStore(), _fast_config()
+        a = _prepare(store, hetero_tech, cfg)
+        hits = _design_hits()
+        b = _prepare(store, hetero_tech, cfg, seed=TEST_SEED + 1)
+        assert _design_hits() == hits
         assert dumps_snapshot(a) != dumps_snapshot(b)
 
 
 class TestGoldenDeterminism:
     def test_flow_row_byte_identical(self, hetero_tech):
         """FlowReport.row() is reproducible bit-for-bit across two runs
-        with the same SeedBundle, through the prepare cache AND the
-        worker fan-out (runtime_min excluded: it is wall-clock)."""
-        clear_prepare_cache()
+        with the same SeedBundle — the first preparing cold, the second
+        from the MemoryStore — through the worker fan-out
+        (runtime_min excluded: it is wall-clock)."""
+        store = MemoryStore()
         cfg = _fast_config(parallel=ParallelConfig(workers=2))
         rows = []
         for _ in range(2):
-            design = prepare_design_cached(_tiny_factory, hetero_tech,
-                                           SeedBundle(TEST_SEED), cfg)
+            design = _prepare(store, hetero_tech, cfg)
             report = run_flow(_tiny_factory, hetero_tech,
                               SeedBundle(TEST_SEED), cfg, design=design)
             row = {k: v for k, v in report.row().items()
@@ -292,7 +306,6 @@ class TestGoldenDeterminism:
         serial loop."""
         rows = []
         for workers in (1, 2):
-            clear_prepare_cache()
             cfg = _fast_config(parallel=ParallelConfig(workers=workers))
             report = run_flow(_tiny_factory, hetero_tech,
                               SeedBundle(TEST_SEED), cfg)

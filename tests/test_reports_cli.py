@@ -112,7 +112,7 @@ class TestCli:
                      "--selector", "none", "--verilog", str(bad)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"error: {bad}:5: expected ';', got 'INVX1'\n"
+        assert err == f"error: {bad}:5:3: expected ';', got 'INVX1'\n"
 
     def test_missing_verilog_file_is_one_line_exit_2(self, tmp_path,
                                                      capsys):

@@ -638,11 +638,9 @@ class TestRequestDecoding:
         """``repro flow --store S`` and a daemon on S agree on the flow
         key: the daemon replays the CLI's run."""
         from repro.harness.designs import get_benchmark
-        from repro.harness.tables import (clear_flow_cache,
-                                          run_benchmark_flow)
+        from repro.harness.tables import run_benchmark_flow
         from repro.service.stages import report_digest
 
-        clear_flow_cache()              # make the CLI write to the store
         store_root = str(tmp_path / "store")
         assert main(["flow", "--benchmark", BENCH, "--selector", "none",
                      "--store", store_root]) == 0

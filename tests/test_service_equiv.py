@@ -13,6 +13,9 @@ invisible*, using the same cross-subsystem digests
   netlist / placement / routing / STA digests and the end-to-end
   ``report_digest`` all match, with the generate / partition / place /
   buffer stages provably skipped (store hits, zero stage puts);
+* the prepare chain stores only ``prepare.place`` and
+  ``prepare.design`` (the place artifact carries the netlist and
+  tiers);
 * stage-resume is sound — with only the *prepare-stage* artifacts on
   disk (report + prepared design deleted), the flow resumes from the
   placement artifact and still reproduces the cold digests exactly;
@@ -58,8 +61,7 @@ FAMILIES = {
     "a7": (_a7_small, 1000.0),
 }
 
-_PREPARE_KINDS = ("prepare.generate", "prepare.partition",
-                  "prepare.place", "prepare.design")
+_PREPARE_KINDS = ("prepare.place", "prepare.design")
 
 
 def _config(freq: float) -> FlowConfig:
@@ -107,6 +109,13 @@ class TestColdWarmEquivalence:
         assert not cold_cached
         assert _digests(cold) == golden
         assert cold_summary["report_digest"] == golden["report"]
+        # One blob per stored kind: no netlist/partition artifacts.
+        kinds = sorted(blob.name.rpartition("-")[0]
+                       for blob in root.glob("objects/*/*.bin"))
+        assert kinds == sorted(["flow.report", "flow.summary",
+                                *_PREPARE_KINDS])
+        assert not list(root.glob("objects/*/prepare.generate-*"))
+        assert not list(root.glob("objects/*/prepare.partition-*"))
 
         # Warm run: new handle over the same directory, as a fresh
         # process would see it.  Every prepare stage must be skipped.
@@ -127,8 +136,8 @@ class TestColdWarmEquivalence:
             assert moved[f"store.puts.{kind}"] == 0
 
         # Stage-resume: drop the report/summary/prepared artifacts,
-        # keep generate/partition/place — the flow resumes from the
-        # placement artifact and must land on the same digests.
+        # keep place — the flow resumes from the placement artifact
+        # and must land on the same digests.
         keys = prepare_stage_keys(factory, hetero_tech,
                                   SeedBundle(TEST_SEED), config)
         resume_store = ArtifactStore(root)
@@ -158,18 +167,16 @@ def test_frequency_sweep_shares_placement(tmp_path, hetero_tech):
     swept = dataclasses.replace(_config(freq),
                                 target_freq_mhz=freq - 200.0)
     before = _counters("store.hits.prepare.place",
-                       "store.puts.prepare.generate",
-                       "store.puts.prepare.partition",
-                       "store.puts.prepare.place")
+                       "store.puts.prepare.place",
+                       "store.puts.prepare.design")
     report, _summary, cached = run_flow_stored(
         factory, hetero_tech, SeedBundle(TEST_SEED), swept,
         ArtifactStore(root))
     moved = _delta(before)
     assert not cached                        # different key, real run
     assert moved["store.hits.prepare.place"] == 1
-    assert moved["store.puts.prepare.generate"] == 0
-    assert moved["store.puts.prepare.partition"] == 0
     assert moved["store.puts.prepare.place"] == 0
+    assert moved["store.puts.prepare.design"] == 1
     # Placement is genuinely shared: locations identical across the
     # sweep even though timing closed at a different clock.
     base = run_flow_stored(factory, hetero_tech, SeedBundle(TEST_SEED),

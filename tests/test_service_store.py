@@ -4,21 +4,22 @@ Locks the flow-as-a-service storage contract:
 
 * key soundness — identical inputs collide onto one key; *any* single
   perturbation (seed, frequency, tech, scan config, factory parameter,
-  any result-relevant :class:`FlowConfig` field) changes it, while the
-  result-neutral ``parallel`` field never does.  The perturbation
+  any :class:`FlowConfig` field) changes it, while a field declared
+  ``result_neutral`` (``parallel``) never does.  The perturbation
   table is exhaustiveness-checked against ``dataclasses.fields`` so a
   newly-added config field fails loudly until it is classified;
 * stage keys are prefix-shaped (frequency/scan sweeps share the
   placement artifact);
-* unstable (identity-fingerprinted) keys are usable in-process but
-  refused by the persistent store on both paths;
+* unstable (identity-fingerprinted) keys are refused by both stores
+  on both paths;
 * blob round trips are bit-identical (pickle-bytes compare, plus the
   golden netlist digest on a real generated design);
 * any single-byte corruption or truncation is detected, counted and
   demoted to a miss with the damaged file unlinked;
 * interrupted writes leave no partial artifact;
 * the LRU byte budget evicts oldest-access entries first and a
-  destroyed index is rebuilt by scanning the object tree.
+  destroyed index is rebuilt by scanning the object tree;
+* the in-process :class:`MemoryStore` hands out isolated copies.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.parallel import ParallelConfig, dumps_snapshot
 from repro.rng import SeedBundle
 from repro.route import RouteConfig
 from repro.service import (ArtifactCorruptError, ArtifactStore,
-                           ContentKey, flow_key, prepare_key,
+                           ContentKey, MemoryStore, flow_key,
                            prepare_stage_keys, tech_digest)
 from repro.service.keys import config_fingerprint
 from repro.service.store import (read_artifact_bytes,
@@ -91,8 +92,8 @@ def _nested_literal_factory(wide: bool):
 
 BASE_CONFIG = FlowConfig(selector="none", target_freq_mhz=1500.0)
 
-#: field name -> perturbed value.  ``None`` marks result-neutral
-#: fields whose perturbation must NOT move the key.
+#: field name -> perturbed value; perturbing a field in
+#: ``_RESULT_NEUTRAL`` must NOT move the key, any other field must.
 _PERTURBATIONS = {
     "selector": "gnn",
     "target_freq_mhz": 1600.0,
@@ -109,7 +110,7 @@ _PERTURBATIONS = {
     "gnn_refine_iters": BASE_CONFIG.gnn_refine_iters + 1,
     "pdn": False,
     "activity": BASE_CONFIG.activity + 0.01,
-    "parallel": None,
+    "parallel": ParallelConfig(workers=8),
 }
 
 _RESULT_NEUTRAL = {"parallel"}
@@ -122,6 +123,11 @@ def tech(hetero_tech):
 
 def _seeds(seed: int = TEST_SEED) -> SeedBundle:
     return SeedBundle(seed)
+
+
+def prepare_key(factory, tech, seeds, config) -> ContentKey:
+    """The fully-prepared-design key."""
+    return prepare_stage_keys(factory, tech, seeds, config).prepared
 
 
 class TestKeyDerivation:
@@ -141,18 +147,21 @@ class TestKeyDerivation:
     def test_perturbation_table_is_exhaustive(self):
         """Regression (shared key-derivation helper): every FlowConfig
         field must be classified result-relevant or result-neutral
-        here, and the key module's own neutral set must agree."""
-        from repro.service.keys import _RESULT_NEUTRAL_CONFIG_FIELDS
-        field_names = {f.name for f in dataclasses.fields(FlowConfig)}
-        assert field_names == set(_PERTURBATIONS), (
+        here, and the fields' own ``result_neutral`` marks must
+        agree."""
+        fields = dataclasses.fields(FlowConfig)
+        assert {f.name for f in fields} == set(_PERTURBATIONS), (
             "new FlowConfig field: add it to _PERTURBATIONS and decide "
             "whether it changes results (flow keys must cover it)")
-        assert _RESULT_NEUTRAL == set(_RESULT_NEUTRAL_CONFIG_FIELDS)
+        assert _RESULT_NEUTRAL == {f.name for f in fields
+                                   if f.metadata.get("result_neutral")}
 
-    @pytest.mark.parametrize("field_name",
-                             sorted(set(_PERTURBATIONS)
-                                    - _RESULT_NEUTRAL))
-    def test_each_config_field_changes_key(self, tech, field_name):
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(FlowConfig), ids=lambda f: f.name)
+    def test_each_config_field_changes_key(self, tech, field):
+        """Every unmarked field moves the flow key; every field marked
+        ``result_neutral`` leaves it (and the fingerprint) alone."""
+        field_name = field.name
         base_cfg = BASE_CONFIG
         if field_name == "dft_strategy":
             # FlowConfig validates dft_strategy => with_scan, so the
@@ -161,8 +170,13 @@ class TestKeyDerivation:
         base = flow_key(_maeri_factory, tech, _seeds(), base_cfg)
         changed = dataclasses.replace(
             base_cfg, **{field_name: _PERTURBATIONS[field_name]})
-        assert flow_key(_maeri_factory, tech, _seeds(),
-                        changed).hexdigest != base.hexdigest
+        assert getattr(changed, field_name) != getattr(base_cfg,
+                                                       field_name)
+        moved = flow_key(_maeri_factory, tech, _seeds(),
+                         changed).hexdigest != base.hexdigest
+        assert moved == (not field.metadata.get("result_neutral"))
+        assert (config_fingerprint(changed)
+                == config_fingerprint(base_cfg)) == (not moved)
 
     def test_parallel_config_never_changes_key(self, tech):
         base = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
@@ -188,7 +202,7 @@ class TestKeyDerivation:
                             keys.KEY_SCHEMA_VERSION + 1)
         bumped = prepare_stage_keys(_maeri_factory, tech, _seeds(),
                                     BASE_CONFIG)
-        for stage in ("generate", "partition", "place", "prepared"):
+        for stage in ("place", "prepared"):
             assert getattr(bumped, stage) != getattr(base, stage)
         assert flow_key(_maeri_factory, tech, _seeds(),
                         BASE_CONFIG) != flow
@@ -267,15 +281,13 @@ class TestKeyDerivation:
         assert ka.hexdigest != kb.hexdigest
 
     def test_stage_keys_are_prefix_shaped(self, tech):
-        """Frequency/scan sweeps share generate/partition/place."""
+        """Frequency/scan sweeps share the place artifact."""
         base = prepare_stage_keys(_maeri_factory, tech, _seeds(),
                                   BASE_CONFIG)
         swept = prepare_stage_keys(
             _maeri_factory, tech, _seeds(),
             dataclasses.replace(BASE_CONFIG, target_freq_mhz=1700.0,
                                 with_scan=True))
-        assert swept.generate == base.generate
-        assert swept.partition == base.partition
         assert swept.place == base.place
         assert swept.prepared != base.prepared
 
@@ -482,3 +494,30 @@ class TestArtifactStore:
         store.clear()
         assert store.total_bytes() == 0
         assert store.get(key) is None
+
+
+class TestMemoryStore:
+    def test_put_get_returns_isolated_copies(self):
+        store = MemoryStore()
+        obj = {"rows": list(range(100)), "name": "x"}
+        key = _key("memory")
+        before = {n: metrics.counter(f"store.{n}.test.blob")
+                  for n in ("hits", "misses", "puts")}
+        assert store.get(key) is None
+        assert store.put(key, obj)
+        first, second = store.get(key), store.get(key)
+        assert first == obj and second == obj
+        assert first is not obj and first is not second
+        first["rows"].append(-1)        # a caller's edit stays its own
+        assert store.get(key) == obj
+        assert {n: metrics.counter(f"store.{n}.test.blob") - v
+                for n, v in before.items()} == {"hits": 3, "misses": 1,
+                                                "puts": 1}
+
+    def test_unstable_keys_refused(self):
+        store = MemoryStore()
+        unstable = ContentKey("test.blob", "ab" * 32, stable=False)
+        before = metrics.counter("store.unstable_key_skips")
+        assert not store.put(unstable, {"x": 1})
+        assert store.get(unstable) is None
+        assert metrics.counter("store.unstable_key_skips") == before + 2

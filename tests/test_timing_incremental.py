@@ -343,35 +343,37 @@ class TestSingleCoreDegrade:
 
 class TestPrepareCacheBound:
     def test_lru_eviction(self, monkeypatch, hetero_tech):
-        import repro.core.flow as flow_mod
-        flow_mod.clear_prepare_cache()
-        monkeypatch.setattr(flow_mod, "PREPARE_CACHE_MAX_ENTRIES", 2)
-        monkeypatch.setattr(
-            flow_mod, "prepare_design",
-            lambda factory, tech, seeds, config: ("stub", seeds.seed))
-        config = flow_mod.FlowConfig(selector="none")
-
-        def prep(seed):
-            return flow_mod.prepare_design_cached(
-                generate_a7_dual_core, hetero_tech,
-                SeedBundle(seed), config)
+        import repro.service.store as store_mod
+        from repro.core.flow import FlowConfig
+        from repro.service.keys import prepare_stage_keys
+        monkeypatch.setattr(store_mod, "MEMORY_STORE_MAX_ENTRIES", 2)
+        store = store_mod.MemoryStore()
+        config = FlowConfig(selector="none")
 
         def key_of(seed):
-            # The LRU keys by the shared content-hash derivation.
-            from repro.service.keys import prepare_key
-            key = prepare_key(generate_a7_dual_core, hetero_tech,
-                              SeedBundle(seed), config)
+            # The store keys by the shared content-hash derivation.
+            key = prepare_stage_keys(generate_a7_dual_core, hetero_tech,
+                                     SeedBundle(seed), config).prepared
             assert key.stable
-            return (key.kind, key.hexdigest)
+            return key
+
+        def prep(seed):
+            got = store.get(key_of(seed))
+            if got is None:
+                got = ("stub", seed)
+                assert store.put(key_of(seed), got)
+            return got
 
         assert prep(1) == ("stub", 1)
         assert prep(2) == ("stub", 2)
         assert prep(3) == ("stub", 3)
-        assert len(flow_mod._PREPARE_CACHE) == 2
+        assert len(store._blobs) == 2
         # Seed 1 was least recently used -> evicted; 2 and 3 remain.
-        assert list(flow_mod._PREPARE_CACHE) == [key_of(2), key_of(3)]
+        assert list(store._blobs) == [key_of(2).hexdigest,
+                                      key_of(3).hexdigest]
         # Re-touching seed 2 makes 3 the eviction candidate.
-        prep(2)
+        assert prep(2) == ("stub", 2)
         prep(4)
-        assert list(flow_mod._PREPARE_CACHE) == [key_of(2), key_of(4)]
-        flow_mod.clear_prepare_cache()
+        assert list(store._blobs) == [key_of(2).hexdigest,
+                                      key_of(4).hexdigest]
+        assert store.get(key_of(3)) is None

@@ -1,8 +1,12 @@
 """Structural Verilog writer/parser round-trip tests."""
 
+import re
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import NetlistError, TechError
+from repro.netlist.netlist import Netlist
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.netlist.verilog import dumps, read_verilog, write_verilog
 from repro.rng import SeedBundle
@@ -140,26 +144,27 @@ class TestParserErrors:
                         "endmodule\n")
         with pytest.raises(NetlistError) as exc:
             read_verilog(path, LIB)
-        assert str(exc.value) == f"{path}:5: expected ';', got 'INVX1'"
+        assert str(exc.value) == f"{path}:5:3: expected ';', got 'INVX1'"
 
     def test_tokenizer_error_names_line(self, tmp_path):
         path = tmp_path / "junk.v"
         path.write_text("module m (a);\n\n  input @a;\nendmodule\n")
-        with pytest.raises(NetlistError, match=r"junk\.v:3: "):
+        with pytest.raises(NetlistError, match=r"junk\.v:3:9: "):
             read_verilog(path, LIB)
 
     def test_block_comment_keeps_line_numbers(self, tmp_path):
         path = tmp_path / "c.v"
         path.write_text("/* one\n   two\n   three */ module m (a);\n"
                         "  input a\nendmodule\n")
-        with pytest.raises(NetlistError, match=r"c\.v:5: expected ';'"):
+        with pytest.raises(NetlistError,
+                           match=r"c\.v:5:1: expected ';'"):
             read_verilog(path, LIB)
 
     def test_unexpected_end_names_last_line(self, tmp_path):
         path = tmp_path / "short.v"
         path.write_text("module m (a);\n  input")
         with pytest.raises(NetlistError,
-                           match=r"short\.v:2: unexpected end"):
+                           match=r"short\.v:2:3: unexpected end"):
             read_verilog(path, LIB)
 
     def test_missing_file_is_a_netlist_error(self, tmp_path):
@@ -180,6 +185,21 @@ class TestParserErrors:
         nl = read_verilog(path, LIB)
         assert nl.instance("u0").attrs["region"] == "analog"
 
+    def test_comment_keeps_columns(self, tmp_path):
+        path = tmp_path / "c.v"
+        path.write_text("module m (a);\n  /* x */ input a /* y */ @;\n"
+                        "endmodule\n")
+        with pytest.raises(NetlistError, match=r"c\.v:2:27: verilog parse"):
+            read_verilog(path, LIB)
+
+    def test_escaped_identifier_spanning_lines(self, tmp_path):
+        path = tmp_path / "e.v"
+        path.write_text("module m (a);\n  input \\a\nb ;\n  wire\n"
+                        "endmodule\n")
+        with pytest.raises(NetlistError,
+                           match=r"e\.v:5:1: unexpected end"):
+            read_verilog(path, LIB)
+
     def test_comments_ignored(self, tmp_path):
         path = tmp_path / "c.v"
         path.write_text(
@@ -191,3 +211,90 @@ class TestParserErrors:
             "  INV u0 (.A(n1), .Y(n2));\nendmodule\n")
         nl = read_verilog(path, LIB)
         assert "u0" in nl.instances
+
+
+# -- fuzz: any text parses or fails with a typed, located error ---------------
+
+_VALID = """module m (a, y);
+  input a;
+  output y;
+  (* clock *)
+  wire n1;
+  wire n2;
+  assign n1 = a;
+  assign y = n2;
+  (* region = "logic" *)
+  INV u0 (.A(n1), .Y(n2));
+endmodule
+"""
+
+_WORDS = ("module", "endmodule", "input", "output", "wire", "assign",
+          "INV", "DFF", "a", "y", "n1", "n2", "u0", "A", "Y", "(", ")",
+          ".", ",", ";", "=", "(* clock *)", "(* false_path *)",
+          '(* region = "logic" *)', "\\pe0/x ", "//", "/*", "*/", "@",
+          "\n", " ")
+
+_SOUPS = st.lists(st.sampled_from(_WORDS), max_size=40).map(" ".join)
+
+
+@st.composite
+def _mutants(draw):
+    """The valid module with a few token edits, or cut short."""
+    tokens = _VALID.replace("(", " ( ").replace(")", " ) ").split(" ")
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(("drop", "dup", "swap", "replace")))
+        if edit == "drop":
+            del tokens[at]
+        elif edit == "dup":
+            tokens.insert(at, tokens[at])
+        elif edit == "swap":
+            other = draw(st.integers(0, len(tokens) - 1))
+            tokens[at], tokens[other] = tokens[other], tokens[at]
+        else:
+            tokens[at] = draw(st.sampled_from(_WORDS))
+        if not tokens:
+            break
+    text = " ".join(tokens)
+    return text[:draw(st.integers(0, len(text)))]
+
+
+class TestParserFuzz:
+    """Every input yields a netlist or a typed error that names the
+    file: a :class:`NetlistError`, or for an unknown cell or region a
+    :class:`TechError` (``test_unknown_cell_rejected``).  Errors of one
+    statement carry its ``line:col``; only a whole-netlist check
+    (``Netlist.validate``) names the file alone."""
+
+    @staticmethod
+    def _parse(tmp_path_factory, text: str, library) -> None:
+        path = tmp_path_factory.mktemp("fuzz") / "f.v"
+        path.write_text(text)
+        try:
+            assert isinstance(read_verilog(path, library), Netlist)
+        except (NetlistError, TechError) as exc:
+            where = re.match(re.escape(str(path)) + r":(?:(\d+):(\d+):)? ",
+                             str(exc))
+            assert where, str(exc)
+            if where.group(1):
+                assert int(where.group(1)) >= 1
+                assert int(where.group(2)) >= 1
+
+    @given(text=_SOUPS)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_token_soup(self, tmp_path_factory, hetero_tech, text):
+        self._parse(tmp_path_factory, text, hetero_tech.libraries)
+
+    @given(text=_mutants())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_module(self, tmp_path_factory, text):
+        self._parse(tmp_path_factory, text, LIB)
+
+    def test_valid_module_parses(self, tmp_path):
+        path = tmp_path / "ok.v"
+        path.write_text(_VALID)
+        nl = read_verilog(path, LIB)
+        assert nl.instance("u0").cell.name == "INV"
+        assert nl.net("n1").is_clock
